@@ -11,9 +11,7 @@
 // active-set worklist core and the full-scan reference), plus a
 // short-run sweep scenario (many 1k-cycle fault points through the sweep
 // runner, where the reusable SimWorkspace matters most) timed with and
-// without workspace reuse and again batched through the BatchRunner at
-// several batch widths ("sweep1k/batchN" - see docs/throughput.md), plus
-// the many-chiplet grid scenarios (16- and
+// without workspace reuse, plus the many-chiplet grid scenarios (16- and
 // 36-chiplet make_grid_spec systems) timed under the partitioned core at
 // several shard counts - their "<scenario>/shardsN" ratios are serial
 // time over N-shard time, so they only exceed 1 on hosts with at least N
@@ -311,17 +309,6 @@ constexpr char kDynScenario[] = "ref4/uniform/dynfault/DeFT";
 
 constexpr char kSweepScenario[] = "sweep1k/deft";
 
-/// Batched editions of the sweep scenario: the identical 30-point grid
-/// through SweepRunner with knobs.batch_size = N, so N runs stay resident
-/// per worker and interleave their cycle chunks (core/batch_runner.hpp).
-/// The recorded "sweep1k/batchN" ratio is fresh-Simulator serial wall
-/// clock over batched wall clock - the same denominator-free-of-workspace
-/// baseline as "sweep1k/deft", so the two keys are directly comparable
-/// (batchN / deft isolates the batching contribution on top of workspace
-/// reuse). Results are bit-identical in every mode (test_batch_runner).
-constexpr int kSweepBatchSizes[] = {4, 8};
-constexpr std::size_t kNumSweepBatch = std::size(kSweepBatchSizes);
-
 // --------------------------------------------------------------------------
 // Many-chiplet grid scenarios: the workload the partitioned core opens.
 // make_grid_spec systems far beyond the paper's 4-6 chiplets, DeFT under
@@ -473,30 +460,6 @@ SweepMeasure measure_sweep(bool workspace) {
                                      point.vl_strategy);
         m.cycles += r.cycles_run;
       }
-    }
-    const auto t1 = std::chrono::steady_clock::now();
-    m.seconds = std::chrono::duration<double>(t1 - t0).count();
-    if (rep == 0 || m.seconds < best.seconds) {
-      best = m;
-    }
-  }
-  return best;
-}
-
-/// Times the batched edition of the sweep scenario at one batch width.
-SweepMeasure measure_sweep_batched(int batch_size) {
-  const ExperimentContext& ctx = perf_ctx(4);
-  const ExperimentGrid grid = sweep_grid();
-  SimKnobs knobs = sweep_knobs();
-  knobs.batch_size = batch_size;
-  SweepMeasure best;
-  for (int rep = 0; rep < kPerfRepeats; ++rep) {
-    SweepMeasure m;
-    const auto t0 = std::chrono::steady_clock::now();
-    const auto sweep = SweepRunner(1).run(ctx, grid, knobs);
-    m.points = sweep.size();
-    for (const SweepResult& r : sweep) {
-      m.cycles += r.results.cycles_run;
     }
     const auto t1 = std::chrono::steady_clock::now();
     m.seconds = std::chrono::duration<double>(t1 - t0).count();
@@ -665,18 +628,6 @@ int run_perf_core(const std::string& json_path) {
               static_cast<double>(sweep_ws.points) / sweep_ws.seconds,
               sweep_fresh.seconds / sweep_ws.seconds);
 
-  SweepMeasure sweep_batch[kNumSweepBatch];
-  for (std::size_t b = 0; b < kNumSweepBatch; ++b) {
-    sweep_batch[b] = measure_sweep_batched(kSweepBatchSizes[b]);
-    std::printf(
-        "sweep1k/batch%-9d %5zu points  fresh %6.1f pts/s  batched %6.1f "
-        "pts/s  (%.2fx)\n",
-        kSweepBatchSizes[b], sweep_batch[b].points,
-        static_cast<double>(sweep_fresh.points) / sweep_fresh.seconds,
-        static_cast<double>(sweep_batch[b].points) / sweep_batch[b].seconds,
-        sweep_fresh.seconds / sweep_batch[b].seconds);
-  }
-
   // Many-chiplet grid scenarios under the partitioned core.
   constexpr std::size_t kNumGrid = std::size(kGridScenarios);
   std::vector<std::vector<int>> grid_counts(kNumGrid);
@@ -715,8 +666,7 @@ int run_perf_core(const std::string& json_path) {
                "\"measure\": %lld, \"drain_max\": %lld, \"repeats\": %d, "
                "\"hardware_concurrency\": %u, \"simd_backend\": \"%s\", "
                "\"sweep_scenario\": {\"name\": \"%s\", \"points\": %zu, "
-               "\"warmup\": %lld, \"measure\": %lld, \"drain_max\": %lld, "
-               "\"batch_sizes\": [%d, %d]}, "
+               "\"warmup\": %lld, \"measure\": %lld, \"drain_max\": %lld}, "
                "\"grid_scenarios\": {\"systems\": [\"grid-16\", "
                "\"grid-36\", \"grid-64\", \"grid-144\", \"grid-256\"], "
                "\"vl_strategy\": \"distance\", \"warmup\": "
@@ -732,7 +682,6 @@ int run_perf_core(const std::string& json_path) {
                static_cast<long long>(sweep_knobs().warmup),
                static_cast<long long>(sweep_knobs().measure),
                static_cast<long long>(sweep_knobs().drain_max),
-               kSweepBatchSizes[0], kSweepBatchSizes[1],
                static_cast<long long>(kGridWarmup),
                static_cast<long long>(kGridMeasure),
                static_cast<long long>(kGridDrainMax),
@@ -797,30 +746,17 @@ int run_perf_core(const std::string& json_path) {
         static_cast<double>(p.flit_hops) / p.seconds);
   }
   for (const char* mode : {"fresh_sim", "workspace"}) {
-    const SweepMeasure& m =
-        std::string_view(mode) == "fresh_sim" ? sweep_fresh : sweep_ws;
+    const bool last = std::string_view(mode) == "workspace";
+    const SweepMeasure& m = last ? sweep_ws : sweep_fresh;
     std::fprintf(
         out,
         "    {\"scenario\": \"%s\", \"mode\": \"%s\", \"points\": %zu, "
         "\"cycles\": %lld, \"seconds\": %.6f, \"points_per_sec\": %.1f, "
-        "\"cycles_per_sec\": %.0f},\n",
+        "\"cycles_per_sec\": %.0f}%s\n",
         kSweepScenario, mode, m.points, static_cast<long long>(m.cycles),
         m.seconds, static_cast<double>(m.points) / m.seconds,
-        static_cast<double>(m.cycles) / m.seconds);
-  }
-  for (std::size_t b = 0; b < kNumSweepBatch; ++b) {
-    const SweepMeasure& m = sweep_batch[b];
-    std::fprintf(
-        out,
-        "    {\"scenario\": \"sweep1k/batch%d\", \"mode\": \"batched\", "
-        "\"batch_size\": %d, \"points\": %zu, \"cycles\": %lld, "
-        "\"seconds\": %.6f, \"points_per_sec\": %.1f, "
-        "\"cycles_per_sec\": %.0f}%s\n",
-        kSweepBatchSizes[b], kSweepBatchSizes[b], m.points,
-        static_cast<long long>(m.cycles), m.seconds,
-        static_cast<double>(m.points) / m.seconds,
         static_cast<double>(m.cycles) / m.seconds,
-        b + 1 < kNumSweepBatch ? "," : "");
+        last ? "" : ",");
   }
   // Per-scenario in-binary ratios: active-set/full-scan for the matrix,
   // workspace/fresh-Simulator for the sweep scenario. Both sides of each
@@ -841,13 +777,6 @@ int run_perf_core(const std::string& json_path) {
                dyn_full.seconds / dyn_active.seconds);
   std::fprintf(out, "    \"%s\": %.3f,\n", kSweepScenario,
                sweep_fresh.seconds / sweep_ws.seconds);
-  // Batched sweep ratios: fresh-Simulator serial over batched-resident
-  // wall clock, same single-worker process - machine-portable like the
-  // workspace ratio above, and gated through BENCH_PR8.json.
-  for (std::size_t b = 0; b < kNumSweepBatch; ++b) {
-    std::fprintf(out, "    \"sweep1k/batch%d\": %.3f,\n", kSweepBatchSizes[b],
-                 sweep_fresh.seconds / sweep_batch[b].seconds);
-  }
   // Grid shard ratios: serial wall clock over N-shard wall clock within
   // this run. Only meaningful on hosts with >= N cores; the gate script
   // reads hardware_concurrency and skips ratios the host cannot express.
@@ -912,9 +841,6 @@ int list_scenarios() {
   }
   std::printf("%s\n", kDynScenario);
   std::printf("%s\n", kSweepScenario);
-  for (int b : kSweepBatchSizes) {
-    std::printf("sweep1k/batch%d\n", b);
-  }
   for (const GridScenario& s : kGridScenarios) {
     for (int c : grid_shard_counts(s)) {
       if (c > 1) {

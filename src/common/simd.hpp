@@ -14,7 +14,7 @@
 //   __ARM_NEON          AArch64/ARMv7, little-endian only
 //   otherwise           scalar
 //
-// Equivalence invariants (docs/throughput.md spells out the arguments;
+// Equivalence invariants (docs/performance.md spells out the arguments;
 // tests/test_simd.cpp checks every kernel against the scalar reference):
 //  * Every kernel is a pure element-wise predicate/reduction - no
 //    floating point, no reassociation of anything order-sensitive - so

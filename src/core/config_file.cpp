@@ -228,9 +228,6 @@ SimulationConfig parse_simulation_config(std::istream& in) {
     } else if (key == "shards") {
       config.knobs.shards =
           static_cast<int>(parse_int(key, value, 1, kMaxSimShards));
-    } else if (key == "batch_size") {
-      config.knobs.batch_size =
-          static_cast<int>(parse_int(key, value, 1, kMaxBatchSize));
     } else if (key == "rng_mode") {
       if (value == "serial") {
         config.knobs.rng_mode = RngMode::serial;

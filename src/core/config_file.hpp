@@ -17,7 +17,6 @@
 //   measure    = 30000
 //   seed       = 1
 //   shards     = 1           # worker threads of the partitioned core
-//   batch_size = 1           # resident runs per sweep/campaign worker
 //   rng_mode   = serial      # serial | counter (per-NI route streams)
 //   vl_strategy = table      # table | distance | random (DeFT only)
 //   faults     = 0v 3^       # faulty VL channels: <vl>v (down) / <vl>^ (up)

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <semaphore>
 
-#include "core/batch_runner.hpp"
 #include "fault/scenario.hpp"
 #include "traffic/patterns.hpp"
 
@@ -230,94 +229,36 @@ std::vector<SweepResult> SweepRunner::run(const ExperimentContext& ctx,
   std::counting_semaphore<> sharded_slots(
       sharded_points ? effective_workers(knobs.shards) : 1);
 
-  // Throughput mode: with batch_size > 1 each worker owns a BatchRunner
-  // that keeps that many points resident and interleaves their cycle
-  // chunks (core/batch_runner.hpp). Points are grouped contiguously in
-  // grid order and results stored by point index, so the output is
-  // bit-identical to the one-at-a-time path below for any batch size.
-  // Sharded points already spread one run across the machine and never
-  // batch (docs/throughput.md).
-  const int batch =
-      sharded_points ? 1 : std::clamp(knobs.batch_size, 1, kMaxBatchSize);
-  std::vector<SimResults> results;
-  if (batch > 1) {
-    results.resize(points.size());
-    const std::size_t group_count =
-        (points.size() + static_cast<std::size_t>(batch) - 1) /
-        static_cast<std::size_t>(batch);
-    std::vector<std::unique_ptr<BatchRunner>> runners(
-        static_cast<std::size_t>(workers));
-    parallel_map_workers<bool>(
-        group_count, workers, [&](int worker, std::size_t g) {
-          std::unique_ptr<BatchRunner>& runner =
-              runners[static_cast<std::size_t>(worker)];
-          if (!runner) {
-            runner = std::make_unique<BatchRunner>(batch);
-          }
-          const std::size_t begin = g * static_cast<std::size_t>(batch);
-          const std::size_t end =
-              std::min(begin + static_cast<std::size_t>(batch),
-                       points.size());
-          std::vector<BatchJob> jobs(end - begin);
-          for (std::size_t i = begin; i < end; ++i) {
-            const ExperimentPoint& point = points[i];
-            BatchJob& job = jobs[i - begin];
-            job.topo = &ctx.topo();
-            job.algorithm =
-                ctx.make_algorithm(point.algorithm, point.faults,
-                                   knobs.num_vcs, point.vl_strategy);
-            job.traffic = make_traffic(ctx.topo(), point.traffic_pattern,
-                                       point.injection_rate);
-            job.knobs = knobs;
-            job.knobs.seed = point.sim_seed;
-            job.faults = point.faults;
-            job.timeline = point.timeline;
-            job.policy = grid.in_flight_policy;
-          }
-          std::vector<BatchOutcome> outcomes = runner->run(jobs);
-          for (std::size_t i = begin; i < end; ++i) {
-            BatchOutcome& out = outcomes[i - begin];
-            if (out.error) {
-              // Same contract as the unbatched path: the first point
-              // exception aborts the sweep (rethrown by the pool).
-              std::rethrow_exception(out.error);
+  std::vector<SimWorkspace> workspaces(static_cast<std::size_t>(workers));
+  std::vector<SimResults> results = parallel_map_workers<SimResults>(
+      points.size(), workers, [&](int worker, std::size_t i) {
+        const ExperimentPoint& point = points[i];
+        const auto traffic = make_traffic(ctx.topo(), point.traffic_pattern,
+                                          point.injection_rate);
+        SimKnobs point_knobs = knobs;
+        point_knobs.seed = point.sim_seed;
+        // Only points that will actually engage the sharded core (the
+        // Simulator's own gate: lookahead-capable traffic) take a
+        // sharded slot; serial points run at full sweep width.
+        const bool point_sharded =
+            sharded_points && traffic->supports_lookahead();
+        struct SlotGuard {
+          std::counting_semaphore<>* slots;
+          ~SlotGuard() {
+            if (slots != nullptr) {
+              slots->release();
             }
-            results[i] = std::move(out.results);
           }
-          return true;
-        });
-  } else {
-    std::vector<SimWorkspace> workspaces(static_cast<std::size_t>(workers));
-    results = parallel_map_workers<SimResults>(
-        points.size(), workers, [&](int worker, std::size_t i) {
-          const ExperimentPoint& point = points[i];
-          const auto traffic = make_traffic(ctx.topo(), point.traffic_pattern,
-                                            point.injection_rate);
-          SimKnobs point_knobs = knobs;
-          point_knobs.seed = point.sim_seed;
-          // Only points that will actually engage the sharded core (the
-          // Simulator's own gate: lookahead-capable traffic) take a
-          // sharded slot; serial points run at full sweep width.
-          const bool point_sharded =
-              sharded_points && traffic->supports_lookahead();
-          struct SlotGuard {
-            std::counting_semaphore<>* slots;
-            ~SlotGuard() {
-              if (slots != nullptr) {
-                slots->release();
-              }
-            }
-          } guard{nullptr};
-          if (point_sharded) {
-            sharded_slots.acquire();
-            guard.slots = &sharded_slots;
-          }
-          return run_sim(workspaces[static_cast<std::size_t>(worker)], ctx,
-                         point.algorithm, *traffic, point_knobs, point.faults,
-                         point.vl_strategy, point.timeline,
-                         grid.in_flight_policy);
-        });
-  }
+        } guard{nullptr};
+        if (point_sharded) {
+          sharded_slots.acquire();
+          guard.slots = &sharded_slots;
+        }
+        return run_sim(workspaces[static_cast<std::size_t>(worker)], ctx,
+                       point.algorithm, *traffic, point_knobs, point.faults,
+                       point.vl_strategy, point.timeline,
+                       grid.in_flight_policy);
+      });
 
   std::vector<SweepResult> sweep;
   sweep.reserve(points.size());

@@ -182,11 +182,7 @@ class SweepRunner {
   /// (tests/test_workspace.cpp). With knobs.shards > 1 the pool keeps its
   /// full width but at most effective_workers() points run *sharded* at a
   /// time (semaphore-gated), so sharded points compose with the sweep's
-  /// own parallelism without throttling a mixed sweep's serial points. With
-  /// knobs.batch_size > 1 (and unsharded points) each worker instead runs
-  /// a BatchRunner that keeps batch_size points resident and interleaves
-  /// their cycle chunks - same results, higher short-run throughput
-  /// (core/batch_runner.hpp, docs/throughput.md).
+  /// own parallelism without throttling a mixed sweep's serial points.
   std::vector<SweepResult> run(const ExperimentContext& ctx,
                                const ExperimentGrid& grid,
                                const SimKnobs& knobs) const;

@@ -1,7 +1,7 @@
 // A persistent worker-thread pool for phase-structured parallel work.
 //
 // The sharded simulation core dispatches into the pool once per run (each
-// worker then loops over cycles with std::barrier synchronization), and
+// worker then loops over cycles, synchronized by a CycleSync), and
 // SweepRunner's parallel_map fan-outs dispatch once per sweep - so the
 // pool's job is to keep the threads alive across dispatches, not to be a
 // task queue. A dispatch hands every participating worker the same
@@ -21,41 +21,58 @@
 
 namespace deft {
 
-/// Phase synchronizer for the fused two-shard cycle loop: replaces the two
-/// std::barrier rendezvous per cycle with single-writer epoch slots. Each
-/// slot is written (release) by exactly one worker and waited on (acquire)
-/// by the other, so a full cycle costs four uncontended stores instead of
-/// two arrive-and-wait rounds through a shared barrier phase word. The
-/// serial completion step runs on worker 0 between the follower's
-/// back-phase publication and the release store; the release is therefore
-/// the only write the follower needs to observe to see every completion
-/// effect (including the stop flag) before its next front phase.
+/// Phase synchronizer for the sharded cycle loop: two rendezvous per
+/// cycle built from single-writer epoch slots. Every worker owns a front
+/// slot, every follower (worker > 0) a back slot, and worker 0 the release
+/// slot. Each slot is written (release) by exactly one worker and waited
+/// on (acquire) by the others, so a cycle of n workers costs 2n
+/// uncontended stores - four at two workers - and no read-modify-write on
+/// a shared phase word. The serial completion step runs on worker 0
+/// between the followers' back-phase publications and the release store;
+/// the release is therefore the only write a follower needs to observe to
+/// see every completion effect (including the stop flag) before its next
+/// front phase.
 ///
-/// Epochs must be strictly increasing and identical across both workers
+/// Epochs must be strictly increasing and identical across all workers
 /// (use the cycle ordinal, starting at 1 - slots initialize to 0).
-class TwoShardSync {
+class CycleSync {
  public:
-  /// Worker `w` finished its front phase for `epoch`; returns once the
-  /// peer has too (the barrier-a equivalent).
+  /// Upper bound on workers. The slots live inline, one cache line each,
+  /// so a sync never touches the heap.
+  static constexpr int kMaxWorkers = 64;
+
+  explicit CycleSync(int workers) : workers_(workers) {}
+
+  /// Worker `w` finished its front phase for `epoch`; returns once every
+  /// other worker has too.
   void front_done(int w, std::uint64_t epoch) {
-    front_[w].v.store(epoch, std::memory_order_release);
-    wait_for(front_[1 - w].v, epoch);
+    slots_[w].v.store(epoch, std::memory_order_release);
+    for (int p = 0; p < workers_; ++p) {
+      if (p != w) {
+        wait_for(slots_[p].v, epoch);
+      }
+    }
   }
 
-  /// Worker 1 finished its back phase; returns once worker 0 has run the
-  /// completion step and published the release (the barrier-b equivalent,
-  /// follower side).
-  void follower_back_done(std::uint64_t epoch) {
-    back_.v.store(epoch, std::memory_order_release);
-    wait_for(release_.v, epoch);
+  /// Follower `w` finished its back phase; returns once worker 0 has run
+  /// the completion step and published the release.
+  void follower_back_done(int w, std::uint64_t epoch) {
+    back(w).v.store(epoch, std::memory_order_release);
+    wait_for(release().v, epoch);
   }
 
-  /// Worker 0: wait for worker 1's back phase before the completion step.
-  void wait_follower_back(std::uint64_t epoch) { wait_for(back_.v, epoch); }
+  /// Worker 0: wait for every follower's back phase before the completion
+  /// step.
+  void wait_followers_back(std::uint64_t epoch) {
+    for (int p = 1; p < workers_; ++p) {
+      wait_for(back(p).v, epoch);
+    }
+  }
 
-  /// Worker 0: completion step done, release worker 1 into the next cycle.
+  /// Worker 0: completion step done, release the followers into the next
+  /// cycle.
   void publish_release(std::uint64_t epoch) {
-    release_.v.store(epoch, std::memory_order_release);
+    release().v.store(epoch, std::memory_order_release);
   }
 
  private:
@@ -72,9 +89,13 @@ class TwoShardSync {
     }
   }
 
-  Slot front_[2];
-  Slot back_;
-  Slot release_;
+  // The 2n slots in use are contiguous: n front slots, the n - 1
+  // followers' back slots, then the release slot.
+  Slot& back(int w) { return slots_[workers_ + w - 1]; }
+  Slot& release() { return slots_[2 * workers_ - 1]; }
+
+  int workers_;
+  Slot slots_[2 * kMaxWorkers];
 };
 
 class WorkerPool {

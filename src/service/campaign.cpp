@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <memory>
 #include <system_error>
 #include <thread>
 
@@ -88,56 +89,11 @@ CampaignEngine::CampaignEngine(CampaignOptions options)
                          1u, std::thread::hardware_concurrency()))),
       cache_(options.cache_capacity),
       pool_(workers_ - 1),
-      workspaces_(static_cast<std::size_t>(workers_)),
-      runners_(static_cast<std::size_t>(workers_)) {}
+      workspaces_(static_cast<std::size_t>(workers_)) {}
 
 std::vector<ResultRow> CampaignEngine::run_batch(
     const std::vector<CampaignRequest>& requests) {
   std::vector<ResultRow> rows(requests.size());
-  const int batch = std::clamp(options_.batch_size, 1, kMaxBatchSize);
-
-  if (batch > 1) {
-    // Throughput mode: each pool job is a contiguous group of requests
-    // run through the worker's resident BatchRunner. run_group catches
-    // per-request failures into their own rows; the outcome channel here
-    // only sees group-infrastructure failures (e.g. bad_alloc building
-    // the job list), which fail every not-yet-terminal row of the group.
-    const std::size_t group_count =
-        (requests.size() + static_cast<std::size_t>(batch) - 1) /
-        static_cast<std::size_t>(batch);
-    const std::vector<std::exception_ptr> group_outcomes = pool_.run_jobs(
-        workers_, group_count, [&](int worker, std::size_t g) {
-          const std::size_t begin = g * static_cast<std::size_t>(batch);
-          const std::size_t end =
-              std::min(begin + static_cast<std::size_t>(batch),
-                       requests.size());
-          run_group(worker, requests, begin, end, rows);
-        });
-    for (std::size_t g = 0; g < group_outcomes.size(); ++g) {
-      if (!group_outcomes[g]) {
-        continue;
-      }
-      std::string what = "non-standard exception";
-      try {
-        std::rethrow_exception(group_outcomes[g]);
-      } catch (const std::exception& e) {
-        what = e.what();
-      } catch (...) {
-      }
-      const std::size_t begin = g * static_cast<std::size_t>(batch);
-      const std::size_t end = std::min(
-          begin + static_cast<std::size_t>(batch), requests.size());
-      for (std::size_t i = begin; i < end; ++i) {
-        ResultRow& row = rows[i];
-        row = ResultRow{};
-        row.id = requests[i].id;
-        row.outcome = RequestOutcome::failed;
-        row.error = what;
-      }
-    }
-    return rows;
-  }
-
   const std::vector<std::exception_ptr> outcomes = pool_.run_jobs(
       workers_, requests.size(), [&](int worker, std::size_t i) {
         rows[i] = run_one(worker, requests[i]);
@@ -221,11 +177,7 @@ ResultRow CampaignEngine::run_one(int worker, const CampaignRequest& request) {
   std::unique_ptr<Simulator> sim = make_sim();
   const SimResults* results = nullptr;
 
-  // Crash-recovery checkpoints ride the serial path only: the batched
-  // path (batch_size > 1) interleaves runs and goes through run_group.
-  const bool checkpointing =
-      !options_.checkpoint_dir.empty() && options_.batch_size <= 1;
-  if (!checkpointing) {
+  if (options_.checkpoint_dir.empty()) {
     results = &sim->run(ws);
   } else {
     const std::filesystem::path ckpt =
@@ -297,150 +249,6 @@ ResultRow CampaignEngine::run_one(int worker, const CampaignRequest& request) {
     row.outcome = RequestOutcome::ok;
   }
   return row;
-}
-
-void CampaignEngine::run_group(int worker,
-                               const std::vector<CampaignRequest>& requests,
-                               std::size_t begin, std::size_t end,
-                               std::vector<ResultRow>& rows) {
-  // Prepared per-request state; its lifetime must span the batched run
-  // (the BatchJobs point into it), so it is fully built before any job
-  // starts. The prepare stage mirrors run_one decision for decision:
-  // validation failures and prepare defects reject, chaos injections and
-  // other escapes fail - but caught here per request, preserving the
-  // engine's isolation contract across the group.
-  struct Prepared {
-    std::size_t index = 0;
-    SimulationConfig config;
-    std::shared_ptr<const ExperimentContext> ctx;
-    VlFaultSet faults;
-    FaultTimeline timeline;
-    std::unique_ptr<TrafficGenerator> traffic;
-    DesignKey key;
-    std::unique_ptr<RoutingAlgorithm> algorithm;
-  };
-  std::vector<Prepared> prepared;
-  prepared.reserve(end - begin);
-
-  for (std::size_t i = begin; i < end; ++i) {
-    ResultRow& row = rows[i];
-    row = ResultRow{};
-    row.id = requests[i].id;
-    try {
-      const ValidatedRequest validated =
-          validate_request(requests[i].text, options_.budget);
-      if (!validated.ok()) {
-        row.outcome = RequestOutcome::rejected;
-        row.errors = validated.errors;
-        continue;
-      }
-      row.budget_clamped = validated.budget_clamped;
-      if (validated.chaos == ChaosMode::throw_in_worker) {
-        throw std::runtime_error("chaos: injected worker exception for '" +
-                                 requests[i].id + "'");
-      }
-      Prepared p;
-      p.index = i;
-      p.config = validated.config;
-      try {
-        p.ctx = cache_.context(p.config.chiplets, p.config.knobs.seed,
-                               &row.cache_context_hit);
-        p.faults = p.config.faults(p.ctx->topo());
-        p.timeline = p.config.fault_events(p.ctx->topo());
-        p.traffic = p.config.make_traffic(p.ctx->topo());
-        p.key = DesignKey{p.config.chiplets,    p.config.knobs.seed,
-                          p.config.algorithm,   p.config.vl_strategy,
-                          p.config.knobs.num_vcs, p.faults.to_string()};
-      } catch (const std::exception& e) {
-        row.outcome = RequestOutcome::rejected;
-        row.errors.push_back({0, e.what()});
-        continue;
-      }
-      p.algorithm = cache_.checkout_algorithm(p.key, *p.ctx, p.faults,
-                                              &row.cache_algorithm_hit);
-      prepared.push_back(std::move(p));
-    } catch (const std::exception& e) {
-      row = ResultRow{};
-      row.id = requests[i].id;
-      row.outcome = RequestOutcome::failed;
-      row.error = e.what();
-    } catch (...) {
-      row = ResultRow{};
-      row.id = requests[i].id;
-      row.outcome = RequestOutcome::failed;
-      row.error = "non-standard exception";
-    }
-  }
-
-  std::unique_ptr<BatchRunner>& runner =
-      runners_[static_cast<std::size_t>(worker)];
-  if (!runner) {
-    runner = std::make_unique<BatchRunner>(
-        std::clamp(options_.batch_size, 1, kMaxBatchSize));
-  }
-  std::vector<BatchJob> jobs(prepared.size());
-  for (std::size_t k = 0; k < prepared.size(); ++k) {
-    Prepared& p = prepared[k];
-    BatchJob& job = jobs[k];
-    job.topo = &p.ctx->topo();
-    job.algorithm = std::move(p.algorithm);
-    job.traffic = std::move(p.traffic);
-    job.knobs = p.config.knobs;
-    job.faults = p.faults;
-    job.timeline = p.timeline.empty() ? nullptr : &p.timeline;
-    job.policy = p.config.fault_policy;
-  }
-  std::vector<BatchOutcome> outcomes = runner->run(jobs);
-
-  for (std::size_t k = 0; k < prepared.size(); ++k) {
-    const Prepared& p = prepared[k];
-    ResultRow& row = rows[p.index];
-    BatchOutcome& out = outcomes[k];
-    if (out.error) {
-      row = ResultRow{};
-      row.id = requests[p.index].id;
-      row.outcome = RequestOutcome::failed;
-      try {
-        std::rethrow_exception(out.error);
-      } catch (const std::exception& e) {
-        row.error = e.what();
-      } catch (...) {
-        row.error = "non-standard exception";
-      }
-      continue;
-    }
-    // Wall-clock seconds of this request's own cycle chunks - the batched
-    // analogue of run_one's timer, so budgets keep their meaning.
-    row.seconds = out.seconds;
-    if (p.timeline.empty()) {
-      cache_.check_in(p.key, std::move(jobs[k].algorithm));
-    }
-
-    const SimResults& r = out.results;
-    row.has_results = true;
-    row.sim_outcome = r.outcome;
-    row.drained = r.drained;
-    row.cycles = r.cycles_run;
-    row.packets_created = r.packets_created_measured;
-    row.packets_delivered = r.packets_delivered_measured;
-    row.packets_lost = r.packets_lost;
-    row.latency_mean = r.network_latency.mean;
-    row.latency_p95 = r.network_latency.p95;
-
-    if (r.outcome == RunOutcome::deadlocked) {
-      row.outcome = RequestOutcome::deadlocked;
-      row.error = "watchdog tripped after " + std::to_string(r.cycles_run) +
-                  " cycles";
-    } else if (row.seconds > options_.budget.max_seconds) {
-      row.outcome = RequestOutcome::timeout;
-      row.error = "wall-clock budget exceeded";
-    } else if (!r.drained) {
-      row.outcome = RequestOutcome::timeout;
-      row.error = "cycle budget exhausted before drain";
-    } else {
-      row.outcome = RequestOutcome::ok;
-    }
-  }
 }
 
 }  // namespace deft

@@ -16,11 +16,9 @@
 #pragma once
 
 #include <filesystem>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "core/batch_runner.hpp"
 #include "core/worker_pool.hpp"
 #include "service/artifact_cache.hpp"
 #include "service/request.hpp"
@@ -77,17 +75,10 @@ struct CampaignOptions {
   /// ArtifactCache tier capacity (contexts / idle algorithm instances).
   std::size_t cache_capacity = 32;
   RunBudget budget;
-  /// Resident runs per worker: > 1 makes each worker execute contiguous
-  /// groups of that many requests through a BatchRunner (interleaved
-  /// cycle chunks, core/batch_runner.hpp). Simulation results and the
-  /// outcome taxonomy are bit-identical to batch_size = 1 - per-request
-  /// wall-clock rows measure only the request's own cycle chunks - and
-  /// per-request fault isolation is preserved. docs/throughput.md.
-  int batch_size = 1;
-  /// Crash-recovery checkpoints (docs/operations.md). When non-empty and
-  /// batch_size == 1, each run writes a deterministic snapshot of its
-  /// paused stepper to "<checkpoint_dir>/<id>.ckpt" every
-  /// checkpoint_every_cycles once it has passed checkpoint_min_cycles
+  /// Crash-recovery checkpoints (docs/operations.md). When non-empty,
+  /// each run writes a deterministic snapshot of its paused stepper to
+  /// "<checkpoint_dir>/<id>.ckpt" every checkpoint_every_cycles once it
+  /// has passed checkpoint_min_cycles
   /// (short runs never pay the fsync), and a request whose id has a
   /// restorable checkpoint resumes from it instead of cycle 0. A corrupt
   /// or configuration-mismatched checkpoint is discarded and the run
@@ -116,13 +107,6 @@ class CampaignEngine {
 
  private:
   ResultRow run_one(int worker, const CampaignRequest& request);
-  /// Batched path: prepares requests [begin, end), runs the valid ones
-  /// through the worker's resident BatchRunner, and writes every row.
-  /// Never throws for request-shaped problems (each request's prepare
-  /// and run failures are caught into its own row).
-  void run_group(int worker, const std::vector<CampaignRequest>& requests,
-                 std::size_t begin, std::size_t end,
-                 std::vector<ResultRow>& rows);
 
   CampaignOptions options_;
   int workers_;
@@ -130,9 +114,6 @@ class CampaignEngine {
   WorkerPool pool_;
   /// One reusable workspace per pool worker (worker 0 is the caller).
   std::vector<SimWorkspace> workspaces_;
-  /// One resident BatchRunner per worker (batch_size > 1), created on the
-  /// worker's first group so its workspaces stay warm across groups.
-  std::vector<std::unique_ptr<BatchRunner>> runners_;
 };
 
 }  // namespace deft

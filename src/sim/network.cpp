@@ -136,7 +136,7 @@ RouterView Network::make_view(const RouterState& r) const {
   // kMaxVcs lanes of each port, not just the configured num_vcs_; that is
   // the same total because reset() zeroes the unconfigured lanes' credits
   // and nothing ever writes them (the equivalence invariant simd.hpp and
-  // docs/throughput.md document).
+  // docs/performance.md document).
   static_assert(sizeof(OutputVc) == 4 && offsetof(OutputVc, credits) == 2,
                 "port_credit_sums reads 4-byte records, credits at +2");
   static_assert(kNumLanes == kNumPorts * kMaxVcs && kMaxVcs == 4,

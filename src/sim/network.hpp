@@ -251,8 +251,10 @@ class Network {
   };
 
   /// Per-shard slice of the mutable per-cycle state. Only the owning
-  /// shard's step/commit pass touches a lane.
-  struct ShardLane {
+  /// shard's step/commit pass touches a lane. Cache-line aligned: shards
+  /// update their counters on every flit move, and neighbouring lanes
+  /// sharing a line would bounce it between the shards' cores.
+  struct alignas(64) ShardLane {
     /// Active-router worklist over the global node-id bit space; only
     /// bits of owned routers are ever set.
     std::vector<std::uint64_t> active;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <barrier>
 #include <functional>
 #include <mutex>
 
@@ -271,7 +270,7 @@ void run_reference(LoopCtx& ctx) {
 
 // ---------------------------------------------------------------------------
 // The sharded (partitioned) core. Each cycle runs as two parallel phases
-// with a barrier after each:
+// with a rendezvous after each (CycleSync, core/worker_pool.hpp):
 //
 //   front (per shard): scheduled wake-ups re-arm their next event, busy
 //     NIs inject (staging arrivals into the shard's own inbox and RC
@@ -280,28 +279,30 @@ void run_reference(LoopCtx& ctx) {
 //     outboxes.
 //   back (per shard): commit_shard() drains every inbox addressed to the
 //     shard (arrivals, credits, RC output credits, local ejections into
-//     the shard's private accumulators), then pre-draws the next cycle's
-//     wake set from the shard's event heap.
-//   completion (serial, inside the second barrier): RC absorptions drain,
-//     the watchdog and drain checks run on the summed counters, and -
-//     when the run continues - the next cycle is prepared: staged RC
-//     requests are delivered and pending injections materialized in
-//     ascending NI order (preserving the routing algorithm's shared RNG
-//     stream and the RC queue order of the serial loop), and the RC
-//     units tick.
+//     the shard's private accumulators), the staged RC permission
+//     requests for the shard's own units are delivered in the serial
+//     loop's NI order, then the next cycle's wake set is pre-drawn from
+//     the shard's event heap.
+//   completion (serial, on worker 0 after the second rendezvous): RC
+//     absorptions drain, the watchdog and drain checks run on the summed
+//     counters, and - when the run continues - the next cycle is
+//     prepared: due fault events apply, pending injections materialize
+//     in ascending NI order (preserving the routing algorithm's shared
+//     RNG stream), and the RC units tick.
 //
 // Why this is bit-identical to serial: step() never reads another
 // router's state, commits are order-independent within a cycle (one
 // arrival per buffer lane, additive credits, order-insensitive stat
-// merges), and every order-sensitive operation - packet creation, RC
-// request delivery, grants, watchdog decisions - happens in the serial
-// completion step in serial order. Deferring RC request delivery to the
-// cycle boundary is exact because the permission network's latency keeps
+// merges), every order-sensitive operation - packet creation, grants,
+// watchdog decisions - happens in the serial completion step in serial
+// order, and RC request delivery keeps each unit's serial queue order
+// (shard_back()). Deferring RC request delivery to the back phase is
+// exact because the permission network's latency keeps
 // same-cycle requests invisible to same-cycle grant decisions (see
 // RcPermissionRequest).
 
 /// State shared by every shard worker; plain fields are published across
-/// threads by the two std::barrier synchronization points per cycle.
+/// threads by the two CycleSync rendezvous per cycle.
 struct ShardedState {
   const SimKnobs* knobs = nullptr;
   const Topology* topo = nullptr;
@@ -526,9 +527,9 @@ void shard_back(ShardedState& st, int s) {
   st.net->commit_shard(s, st.now, sink);
 
   // Distributed RC delivery: every shard scans all staged-request lists
-  // (written during the front phase, frozen by barrier_a) and delivers,
-  // in ascending NI order, exactly the requests targeting units on its
-  // own nodes. Restricting the serial loop's global NI order to one
+  // (written during the front phase, frozen by the front rendezvous) and
+  // delivers, in ascending NI order, exactly the requests targeting units
+  // on its own nodes. Restricting the serial loop's global NI order to one
   // unit's requests preserves that unit's queue order, and no two shards
   // ever touch the same unit - the partition keys ownership by node.
   // The busy-unit transitions accumulate locally and fold in serially
@@ -578,8 +579,8 @@ void shard_back(ShardedState& st, int s) {
   }
 }
 
-/// End-of-cycle serial step (the second barrier's completion): drains RC
-/// absorptions, applies the watchdog and drain checks to the summed
+/// End-of-cycle serial step (worker 0, after the back rendezvous): drains
+/// RC absorptions, applies the watchdog and drain checks to the summed
 /// counters, and prepares the next cycle.
 void sharded_cycle_end(ShardedState& st) {
   if (st.failed.load(std::memory_order_relaxed)) {
@@ -630,16 +631,18 @@ void sharded_cycle_end(ShardedState& st) {
   }
 }
 
-/// Two-shard cycle loop with fused phase synchronization: the generic
-/// loop's two std::barrier rendezvous per cycle become four single-writer
-/// epoch stores (TwoShardSync), roughly halving the per-cycle
-/// synchronization cost that dominates small two-shard runs. The phase
-/// structure is unchanged - front, peer-front wait, back, completion on
-/// worker 0, release - because the completion step's stop decision must
-/// still precede either worker's next front phase.
-void run_sharded_fused(ShardedState& st, WorkerPool& pool) {
-  TwoShardSync sync;
-  pool.run(2, [&st, &sync](int w) {
+/// Runs the cycle loop across one worker per shard. The caller has
+/// already performed cycle 0's prologue (initial event scheduling, the
+/// cycle-0 draw/materialization, the first RC tick). Per cycle: front
+/// phase, rendezvous, back phase, then worker 0 waits for every
+/// follower's back phase, runs the completion step and releases the
+/// followers - the completion's stop decision must precede every
+/// worker's next front phase.
+void run_sharded(ShardedState& st, WorkerPool& pool) {
+  static_assert(kMaxSimShards <= CycleSync::kMaxWorkers);
+  const int num_shards = static_cast<int>(st.shards->size());
+  CycleSync sync(num_shards);
+  pool.run(num_shards, [&st, &sync](int w) {
     std::uint64_t epoch = 0;
     while (!st.stop) {
       ++epoch;
@@ -667,57 +670,12 @@ void run_sharded_fused(ShardedState& st, WorkerPool& pool) {
         }
       }
       if (w == 0) {
-        sync.wait_follower_back(epoch);
+        sync.wait_followers_back(epoch);
         sharded_cycle_end(st);
         sync.publish_release(epoch);
       } else {
-        sync.follower_back_done(epoch);
+        sync.follower_back_done(w, epoch);
       }
-    }
-  });
-}
-
-/// Runs the cycle loop across one worker per shard. The caller has
-/// already performed cycle 0's prologue (initial event scheduling, the
-/// cycle-0 draw/materialization, the first RC tick).
-void run_sharded(ShardedState& st, WorkerPool& pool) {
-  const int num_shards = static_cast<int>(st.shards->size());
-  if (num_shards == 2) {
-    run_sharded_fused(st, pool);
-    return;
-  }
-
-  const auto completion = [&st]() noexcept { sharded_cycle_end(st); };
-  std::barrier barrier_a(num_shards);
-  std::barrier<std::decay_t<decltype(completion)>> barrier_b(num_shards,
-                                                             completion);
-
-  pool.run(num_shards, [&st, &barrier_a, &barrier_b](int w) {
-    while (!st.stop) {
-      if (!st.failed.load(std::memory_order_relaxed)) {
-        try {
-          if (st.in_window) {
-            shard_front<true>(st, w);
-          } else {
-            shard_front<false>(st, w);
-          }
-        } catch (...) {
-          st.record_failure();
-        }
-      }
-      barrier_a.arrive_and_wait();
-      if (!st.failed.load(std::memory_order_relaxed)) {
-        try {
-          if (st.in_window) {
-            shard_back<true>(st, w);
-          } else {
-            shard_back<false>(st, w);
-          }
-        } catch (...) {
-          st.record_failure();
-        }
-      }
-      barrier_b.arrive_and_wait();  // completion: sharded_cycle_end
     }
   });
 }
@@ -831,8 +789,8 @@ const SimResults& Simulator::run(SimWorkspace& ws) {
 
   if (!sharded) {
     // Serial path: the resumable stepper, run to completion in a single
-    // advance - what makes a batched (chunk-interleaved) run bit-identical
-    // to this one by construction.
+    // advance - what makes a stepped (paused and resumed) run
+    // bit-identical to this one by construction.
     SimStepper stepper;
     stepper.start(*this, ws);
     stepper.advance();
@@ -949,8 +907,8 @@ const SimResults& Simulator::run(SimWorkspace& ws) {
 // path would use, runs the phase chain up to `cap`, and round-trips the
 // loop scalars back out. Because run_phase/run_reference derive the phase
 // from ctx.now alone, pausing and resuming at any cycle boundary cannot
-// change what any cycle executes - the bit-identity argument for batched
-// execution (docs/throughput.md).
+// change what any cycle executes - the bit-identity argument for
+// snapshots and checkpoints (docs/architecture.md).
 
 void SimStepper::start(Simulator& sim, SimWorkspace& ws) {
   require(!sim.ran_, "Simulator::run may only be called once");

@@ -31,16 +31,16 @@
 // the order-sensitive slivers - packet materialization (the routing
 // algorithm's shared RNG stream), RC permission delivery and the RC-unit
 // tick, and the end-of-cycle watchdog/drain decisions - run serially in
-// the barrier's completion step, in exactly the order the serial loop
+// the end-of-cycle completion step, in exactly the order the serial loop
 // performs them. Results are bit-identical to shards = 1 for any shard
 // count (tests/test_sim_sharded.cpp); configurations sharding cannot
 // serve (full-scan core, non-lookahead traffic, single-shard partitions)
 // silently execute serially.
-// Batched execution: SimStepper exposes the serial loop as a resumable
+// Stepped execution: SimStepper exposes the serial loop as a resumable
 // start/advance/finish sequence - Simulator::run(ws)'s serial path is a
-// wrapper over it - so core/batch_runner.hpp can interleave cycle chunks
-// of many short runs per worker without touching results (bit-identical
-// by construction, tests/test_batch_runner.cpp; see docs/throughput.md).
+// wrapper over it - so snapshots and campaign checkpoints can pause a run
+// at any cycle boundary without touching its results (bit-identical by
+// construction; see docs/architecture.md).
 #pragma once
 
 #include <limits>
@@ -94,30 +94,20 @@ struct SimKnobs {
   /// Sharding requires the active-set core and a lookahead-capable
   /// traffic generator - other configurations run serially.
   int shards = 1;
-  /// Scenario batch width for throughput-oriented drivers (SweepRunner,
-  /// the campaign engine): > 1 keeps that many short runs resident per
-  /// worker and interleaves their cycle chunks through a BatchRunner
-  /// (core/batch_runner.hpp). A single Simulator::run ignores the knob -
-  /// batching is a property of executing *many* runs, not of one - and
-  /// results are bit-identical for every value; only wall clock differs.
-  /// Batching and sharding do not compose: sharded sweep points (shards >
-  /// 1 with the active-set core) run one at a time. docs/throughput.md.
-  int batch_size = 1;
   /// Routing-randomness mode (see RngMode). `serial` preserves every
   /// historical digest; `counter` unlocks parallel packet materialization
   /// and is the recommended mode for many-chiplet sharded runs.
   RngMode rng_mode = RngMode::serial;
 };
 
-/// Upper bound on SimKnobs::batch_size (resident workspaces per worker).
-inline constexpr int kMaxBatchSize = 64;
-
 /// One shard's slice of the per-run state: the NI worklist (busy/wake
 /// bitmasks over the global NI index space, plus the scheduled-injection
 /// heap), the staged RC permission requests, and the shard's private
 /// measurement accumulators (merged order-insensitively after the run -
 /// latency summaries sort their samples, every counter is additive).
-struct ShardRun {
+/// Cache-line aligned so that one shard's per-ejection counter updates
+/// never share a line with a neighbouring shard's slice.
+struct alignas(64) ShardRun {
   std::vector<std::uint64_t> busy;
   std::vector<std::uint64_t> wake;
   std::vector<std::pair<Cycle, std::size_t>> events;
@@ -253,9 +243,9 @@ class Simulator {
 ///
 /// The stepper always executes serially, even for shard-eligible
 /// configurations (SimKnobs::shards > 1) - valid because sharded results
-/// are bit-identical to serial by the sharded core's own contract. The
-/// BatchRunner round-robins advance() calls over many steppers to keep a
-/// batch of short runs cache-resident (docs/throughput.md).
+/// are bit-identical to serial by the sharded core's own contract.
+/// Snapshots (sim/snapshot.hpp) save and restore a stepper paused between
+/// advance() calls.
 class SimStepper {
  public:
   SimStepper() = default;

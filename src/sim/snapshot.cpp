@@ -210,9 +210,9 @@ std::string SnapshotAccess::fingerprint(const Simulator& sim) {
     }
   }
   out << "]";
-  // shards/batch_size are execution-shape knobs with bit-identical
-  // results by contract, so they stay out of the fingerprint: a snapshot
-  // of a sharded or batched run restores onto the serial stepper.
+  // shards is an execution-shape knob with bit-identical results by
+  // contract, so it stays out of the fingerprint: a snapshot of a sharded
+  // configuration restores onto the serial stepper.
   return out.str();
 }
 

@@ -12,9 +12,9 @@
 //
 // is bit-identical to the uninterrupted run (same SimResults, same golden
 // digests). This holds for every execution mode: the stepper is always
-// serial, and both the sharded core and batched execution pin their
-// results to the serial loop's, so a snapshot taken on the serial stepper
-// resumes any of them exactly (tests/test_snapshot.cpp).
+// serial, and the sharded core pins its results to the serial loop's, so
+// a snapshot taken on the serial stepper resumes a sharded configuration
+// exactly (tests/test_snapshot.cpp).
 //
 // A snapshot is only meaningful against the exact run configuration it
 // was taken from, so the image embeds a configuration fingerprint (knobs,

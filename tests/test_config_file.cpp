@@ -59,9 +59,30 @@ TEST(ConfigFile, DefaultsAreThePaperBaseline) {
   EXPECT_TRUE(c.fault_spec.empty());
 }
 
+/// Runs `fn` and returns the message of the std::invalid_argument it must
+/// throw.
+template <typename Fn>
+std::string thrown_message(Fn&& fn) {
+  try {
+    fn();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "expected std::invalid_argument";
+  return "";
+}
+
 TEST(ConfigFile, RejectsUnknownKeys) {
   EXPECT_THROW(parse_simulation_config(std::string("typo_key = 3\n")),
                std::invalid_argument);
+  // A key the simulator no longer has is rejected like any typo, so a
+  // stale config file or spool request fails loudly at the right line.
+  const std::string removed = thrown_message([] {
+    parse_simulation_config(std::string("chiplets = 4\nbatch_size = 4\n"));
+  });
+  EXPECT_NE(removed.find("config: line 2:"), std::string::npos) << removed;
+  EXPECT_NE(removed.find("unknown key 'batch_size'"), std::string::npos)
+      << removed;
 }
 
 TEST(ConfigFile, RejectsMalformedLines) {
@@ -90,19 +111,6 @@ TEST(ConfigFile, RejectsBadFaultSpecs) {
   const SimulationConfig c2 =
       parse_simulation_config(std::string("faults = 3x\n"));
   EXPECT_THROW(c2.faults(topo), std::invalid_argument);
-}
-
-/// Runs `fn` and returns the message of the std::invalid_argument it must
-/// throw.
-template <typename Fn>
-std::string thrown_message(Fn&& fn) {
-  try {
-    fn();
-  } catch (const std::invalid_argument& e) {
-    return e.what();
-  }
-  ADD_FAILURE() << "expected std::invalid_argument";
-  return "";
 }
 
 TEST(ConfigFile, ErrorsAreLineNumbered) {

@@ -22,43 +22,20 @@
 //     the run still drains without deadlock.
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <memory>
 
 #include "core/runner.hpp"
 #include "sim/snapshot.hpp"
+#include "sim_results_checks.hpp"
 
 namespace deft {
 namespace {
 
-/// FNV-1a over the sharded-golden field list plus the fault-window
-/// metrics this PR adds (which the historical goldens must not absorb).
-class Digest {
- public:
-  void mix(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      hash_ ^= (v >> (8 * i)) & 0xff;
-      hash_ *= 1099511628211ULL;
-    }
-  }
-  void mix(double d) { mix(std::bit_cast<std::uint64_t>(d)); }
-  std::uint64_t value() const { return hash_; }
-
- private:
-  std::uint64_t hash_ = 1469598103934665603ULL;
-};
-
-std::uint64_t digest(const SimResults& r) {
+/// The golden digest's fields plus the fault-window metrics, which the
+/// historical goldens must not absorb.
+std::uint64_t fault_digest(const SimResults& r) {
   Digest d;
-  for (const LatencySummary* l : {&r.network_latency, &r.total_latency}) {
-    d.mix(l->count);
-    d.mix(l->mean);
-    d.mix(l->min);
-    d.mix(l->max);
-    d.mix(l->p50);
-    d.mix(l->p95);
-    d.mix(l->p99);
-  }
+  mix_latencies(d, r);
   d.mix(r.packets_created);
   d.mix(r.packets_created_measured);
   d.mix(r.packets_delivered_measured);
@@ -73,49 +50,8 @@ std::uint64_t digest(const SimResults& r) {
   d.mix(static_cast<std::uint64_t>(r.measure_cycles));
   d.mix(r.deadlock_detected ? std::uint64_t{1} : 0);
   d.mix(r.drained ? std::uint64_t{1} : 0);
-  for (const auto& region : r.region_vc_flits) {
-    for (std::uint64_t v : region) {
-      d.mix(v);
-    }
-  }
-  for (std::uint64_t v : r.vl_channel_flits) {
-    d.mix(v);
-  }
+  mix_flit_counters(d, r);
   return d.value();
-}
-
-void expect_identical(const SimResults& a, const SimResults& b) {
-  for (int which = 0; which < 2; ++which) {
-    const LatencySummary& la =
-        which == 0 ? a.network_latency : a.total_latency;
-    const LatencySummary& lb =
-        which == 0 ? b.network_latency : b.total_latency;
-    EXPECT_EQ(la.count, lb.count);
-    EXPECT_EQ(la.mean, lb.mean);
-    EXPECT_EQ(la.min, lb.min);
-    EXPECT_EQ(la.max, lb.max);
-    EXPECT_EQ(la.p50, lb.p50);
-    EXPECT_EQ(la.p95, lb.p95);
-    EXPECT_EQ(la.p99, lb.p99);
-  }
-  EXPECT_EQ(a.packets_created, b.packets_created);
-  EXPECT_EQ(a.packets_created_measured, b.packets_created_measured);
-  EXPECT_EQ(a.packets_delivered_measured, b.packets_delivered_measured);
-  EXPECT_EQ(a.packets_dropped_unroutable, b.packets_dropped_unroutable);
-  EXPECT_EQ(a.flits_ejected_in_window, b.flits_ejected_in_window);
-  EXPECT_EQ(a.flit_hops, b.flit_hops);
-  EXPECT_EQ(a.cycles_run, b.cycles_run);
-  EXPECT_EQ(a.measure_cycles, b.measure_cycles);
-  EXPECT_EQ(a.deadlock_detected, b.deadlock_detected);
-  EXPECT_EQ(a.outcome, b.outcome);
-  EXPECT_EQ(a.drained, b.drained);
-  EXPECT_EQ(a.packets_lost, b.packets_lost);
-  EXPECT_EQ(a.packets_lost_measured, b.packets_lost_measured);
-  EXPECT_EQ(a.fault_window_created, b.fault_window_created);
-  EXPECT_EQ(a.fault_window_delivered, b.fault_window_delivered);
-  EXPECT_EQ(a.reconvergence_latency, b.reconvergence_latency);
-  EXPECT_EQ(a.region_vc_flits, b.region_vc_flits);
-  EXPECT_EQ(a.vl_channel_flits, b.vl_channel_flits);
 }
 
 SimKnobs dyn_knobs(int shards) {
@@ -246,8 +182,8 @@ TEST(FaultDynamicGolden, SerialRunsMatchPinnedDigests) {
     // no-progress watchdog.
     EXPECT_EQ(r.outcome, RunOutcome::completed);
     EXPECT_EQ(r.drained, g.drained);
-    EXPECT_EQ(digest(r), g.digest)
-        << dyn_name(g) << ": digest 0x" << std::hex << digest(r);
+    EXPECT_EQ(fault_digest(r), g.digest)
+        << dyn_name(g) << ": digest 0x" << std::hex << fault_digest(r);
   }
 }
 
@@ -258,7 +194,7 @@ TEST(FaultDynamicGolden, ShardedRunsReproduceSerialDigests) {
       SCOPED_TRACE(dyn_name(g) + "/shards" + std::to_string(shards));
       const SimResults sharded = run_dyn(g.alg, g.repair, g.policy, shards);
       expect_identical(serial, sharded);
-      EXPECT_EQ(digest(sharded), g.digest);
+      EXPECT_EQ(fault_digest(sharded), g.digest);
     }
   }
 }
@@ -307,7 +243,7 @@ TEST(FaultDynamicGolden, SnapshotRoundTripReproducesDigests) {
       restore_snapshot(image, *resumed->sim, resumed->stepper, resumed->ws);
       EXPECT_EQ(resumed->stepper.now(), pause);
       resumed->stepper.advance();
-      EXPECT_EQ(digest(resumed->stepper.finish()), g.digest);
+      EXPECT_EQ(fault_digest(resumed->stepper.finish()), g.digest);
     }
   }
 }

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "core/runner.hpp"
+#include "sim_results_checks.hpp"
 
 namespace deft {
 namespace {
@@ -25,32 +26,6 @@ SimKnobs fast_knobs() {
   knobs.measure = 400;
   knobs.drain_max = 1'000;
   return knobs;
-}
-
-void expect_identical(const LatencySummary& a, const LatencySummary& b) {
-  EXPECT_EQ(a.count, b.count);
-  EXPECT_EQ(a.mean, b.mean);
-  EXPECT_EQ(a.min, b.min);
-  EXPECT_EQ(a.max, b.max);
-  EXPECT_EQ(a.p50, b.p50);
-  EXPECT_EQ(a.p95, b.p95);
-  EXPECT_EQ(a.p99, b.p99);
-}
-
-void expect_identical(const SimResults& a, const SimResults& b) {
-  expect_identical(a.network_latency, b.network_latency);
-  expect_identical(a.total_latency, b.total_latency);
-  EXPECT_EQ(a.packets_created, b.packets_created);
-  EXPECT_EQ(a.packets_created_measured, b.packets_created_measured);
-  EXPECT_EQ(a.packets_delivered_measured, b.packets_delivered_measured);
-  EXPECT_EQ(a.packets_dropped_unroutable, b.packets_dropped_unroutable);
-  EXPECT_EQ(a.flits_ejected_in_window, b.flits_ejected_in_window);
-  EXPECT_EQ(a.cycles_run, b.cycles_run);
-  EXPECT_EQ(a.measure_cycles, b.measure_cycles);
-  EXPECT_EQ(a.deadlock_detected, b.deadlock_detected);
-  EXPECT_EQ(a.drained, b.drained);
-  EXPECT_EQ(a.region_vc_flits, b.region_vc_flits);
-  EXPECT_EQ(a.vl_channel_flits, b.vl_channel_flits);
 }
 
 TEST(ExperimentGrid, SizeAndExpansionOrder) {

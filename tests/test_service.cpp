@@ -307,50 +307,6 @@ TEST(CampaignEngine, RepeatedBatchesAreBitIdentical) {
   EXPECT_EQ(cold.latency_mean, warm.latency_mean);
 }
 
-TEST(CampaignEngine, BatchedEngineMatchesUnbatchedRowForRow) {
-  // batch_size > 1 routes requests through resident BatchRunners; every
-  // row - including rejections, chaos failures and timeouts mixed into
-  // the same group - must match the unbatched engine's decision and
-  // simulation fields exactly.
-  std::vector<CampaignRequest> batch;
-  batch.push_back(make_request("good", valid_text()));
-  batch.push_back(make_request("bad", "chiplets = 4\nrate = fast\n"));
-  batch.push_back(make_request("chaos", valid_text() + "x_chaos = throw\n"));
-  batch.push_back(make_request(
-      "stuck",
-      "chiplets = 4\nrate = 0.05\nwarmup = 50\nmeasure = 200\n"
-      "drain_max = 0\nseed = 3\n"));
-  batch.push_back(make_request("mtr", valid_text() + "algorithm = mtr\n"));
-  batch.push_back(make_request("good-again", valid_text()));
-
-  CampaignOptions plain_options;
-  plain_options.workers = 1;
-  CampaignEngine plain(plain_options);
-  const std::vector<ResultRow> expected = plain.run_batch(batch);
-
-  for (int workers : {1, 2}) {
-    SCOPED_TRACE(workers);
-    CampaignOptions options;
-    options.workers = workers;
-    options.batch_size = 3;
-    CampaignEngine engine(options);
-    const std::vector<ResultRow> rows = engine.run_batch(batch);
-    ASSERT_EQ(rows.size(), expected.size());
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      SCOPED_TRACE(rows[i].id);
-      EXPECT_EQ(rows[i].outcome, expected[i].outcome);
-      EXPECT_EQ(rows[i].has_results, expected[i].has_results);
-      EXPECT_EQ(rows[i].sim_outcome, expected[i].sim_outcome);
-      EXPECT_EQ(rows[i].drained, expected[i].drained);
-      EXPECT_EQ(rows[i].packets_created, expected[i].packets_created);
-      EXPECT_EQ(rows[i].packets_delivered, expected[i].packets_delivered);
-      EXPECT_EQ(rows[i].cycles, expected[i].cycles);
-      EXPECT_EQ(rows[i].latency_mean, expected[i].latency_mean);
-      EXPECT_EQ(rows[i].errors.size(), expected[i].errors.size());
-    }
-  }
-}
-
 TEST(CampaignEngine, BadFaultChannelIsRejectedAtPrepare) {
   CampaignOptions options;
   options.workers = 1;

@@ -15,92 +15,13 @@
 //     SimCore::full_scan for the same seed.
 #include <gtest/gtest.h>
 
-#include <bit>
-
-#include "core/batch_runner.hpp"
 #include "core/runner.hpp"
+#include "sim_results_checks.hpp"
 #include "traffic/app_profiles.hpp"
 #include "traffic/trace.hpp"
 
 namespace deft {
 namespace {
-
-/// FNV-1a over every SimResults field that existed before the rewrite
-/// (flit_hops is newer than the captured goldens, so it is asserted via
-/// the cross-core comparison only).
-class Digest {
- public:
-  void mix(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      hash_ ^= (v >> (8 * i)) & 0xff;
-      hash_ *= 1099511628211ULL;
-    }
-  }
-  void mix(double d) { mix(std::bit_cast<std::uint64_t>(d)); }
-  std::uint64_t value() const { return hash_; }
-
- private:
-  std::uint64_t hash_ = 1469598103934665603ULL;
-};
-
-std::uint64_t digest(const SimResults& r) {
-  Digest d;
-  for (const LatencySummary* l : {&r.network_latency, &r.total_latency}) {
-    d.mix(l->count);
-    d.mix(l->mean);
-    d.mix(l->min);
-    d.mix(l->max);
-    d.mix(l->p50);
-    d.mix(l->p95);
-    d.mix(l->p99);
-  }
-  d.mix(r.packets_created);
-  d.mix(r.packets_created_measured);
-  d.mix(r.packets_delivered_measured);
-  d.mix(r.packets_dropped_unroutable);
-  d.mix(r.flits_ejected_in_window);
-  d.mix(static_cast<std::uint64_t>(r.cycles_run));
-  d.mix(static_cast<std::uint64_t>(r.measure_cycles));
-  d.mix(r.deadlock_detected ? std::uint64_t{1} : 0);
-  d.mix(r.drained ? std::uint64_t{1} : 0);
-  for (const auto& region : r.region_vc_flits) {
-    for (std::uint64_t v : region) {
-      d.mix(v);
-    }
-  }
-  for (std::uint64_t v : r.vl_channel_flits) {
-    d.mix(v);
-  }
-  return d.value();
-}
-
-void expect_identical(const SimResults& a, const SimResults& b) {
-  for (int which = 0; which < 2; ++which) {
-    const LatencySummary& la =
-        which == 0 ? a.network_latency : a.total_latency;
-    const LatencySummary& lb =
-        which == 0 ? b.network_latency : b.total_latency;
-    EXPECT_EQ(la.count, lb.count);
-    EXPECT_EQ(la.mean, lb.mean);
-    EXPECT_EQ(la.min, lb.min);
-    EXPECT_EQ(la.max, lb.max);
-    EXPECT_EQ(la.p50, lb.p50);
-    EXPECT_EQ(la.p95, lb.p95);
-    EXPECT_EQ(la.p99, lb.p99);
-  }
-  EXPECT_EQ(a.packets_created, b.packets_created);
-  EXPECT_EQ(a.packets_created_measured, b.packets_created_measured);
-  EXPECT_EQ(a.packets_delivered_measured, b.packets_delivered_measured);
-  EXPECT_EQ(a.packets_dropped_unroutable, b.packets_dropped_unroutable);
-  EXPECT_EQ(a.flits_ejected_in_window, b.flits_ejected_in_window);
-  EXPECT_EQ(a.flit_hops, b.flit_hops);
-  EXPECT_EQ(a.cycles_run, b.cycles_run);
-  EXPECT_EQ(a.measure_cycles, b.measure_cycles);
-  EXPECT_EQ(a.deadlock_detected, b.deadlock_detected);
-  EXPECT_EQ(a.drained, b.drained);
-  EXPECT_EQ(a.region_vc_flits, b.region_vc_flits);
-  EXPECT_EQ(a.vl_channel_flits, b.vl_channel_flits);
-}
 
 SimKnobs golden_knobs(SimCore core) {
   SimKnobs k;
@@ -179,41 +100,6 @@ TEST(SimEquivalence, ActiveSetMatchesFullScanOnGoldenConfigs) {
     const SimResults active = run_config(cfg, SimCore::active_set);
     expect_identical(full, active);
     EXPECT_EQ(digest(active), cfg.expected_digest);
-  }
-}
-
-TEST(SimEquivalence, BatchedExecutionReproducesGoldens) {
-  // Throughput-mode bit-identity (docs/throughput.md): the six golden
-  // configurations executed as one interleaved batch must reproduce the
-  // pre-rewrite digests at every batch width - batching is an execution
-  // schedule, not a semantic.
-  for (int batch_size : {1, 4}) {
-    SCOPED_TRACE(batch_size);
-    std::vector<BatchJob> jobs;
-    for (const GoldenConfig& cfg : kGoldens) {
-      BatchJob job;
-      job.topo = &ctx4().topo();
-      VlFaultSet faults;
-      if (cfg.fault_count > 0) {
-        faults = grid_fault_pattern(ctx4(), cfg.fault_count);
-      }
-      const SimKnobs knobs = golden_knobs(SimCore::active_set);
-      job.algorithm = ctx4().make_algorithm(cfg.algorithm, faults,
-                                            knobs.num_vcs, cfg.strategy);
-      job.traffic =
-          std::make_unique<UniformTraffic>(ctx4().topo(), 0.02);
-      job.knobs = knobs;
-      job.faults = faults;
-      jobs.push_back(std::move(job));
-    }
-    BatchRunner runner(batch_size);
-    const std::vector<BatchOutcome> outcomes = runner.run(jobs);
-    ASSERT_EQ(outcomes.size(), std::size(kGoldens));
-    for (std::size_t i = 0; i < outcomes.size(); ++i) {
-      SCOPED_TRACE(kGoldens[i].name);
-      ASSERT_FALSE(outcomes[i].error);
-      EXPECT_EQ(digest(outcomes[i].results), kGoldens[i].expected_digest);
-    }
   }
 }
 

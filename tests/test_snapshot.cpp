@@ -7,67 +7,19 @@
 // boundary. The negative half of the contract matters as much: a
 // corrupt, truncated, version-mismatched or wrong-configuration image
 // must be rejected with a SnapshotError, never restored into a silently
-// wrong result.
+// wrong result. Snapshots rest on the stepper's own guarantee, pinned
+// first: pausing at every cycle boundary changes nothing.
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <filesystem>
 
-#include "core/batch_runner.hpp"
 #include "core/runner.hpp"
 #include "sim/snapshot.hpp"
+#include "sim_results_checks.hpp"
 #include "traffic/trace.hpp"
 
 namespace deft {
 namespace {
-
-/// FNV-1a digest over the pre-rewrite SimResults fields; must stay in
-/// sync with test_sim_equivalence.cpp (the goldens are shared).
-class Digest {
- public:
-  void mix(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      hash_ ^= (v >> (8 * i)) & 0xff;
-      hash_ *= 1099511628211ULL;
-    }
-  }
-  void mix(double d) { mix(std::bit_cast<std::uint64_t>(d)); }
-  std::uint64_t value() const { return hash_; }
-
- private:
-  std::uint64_t hash_ = 1469598103934665603ULL;
-};
-
-std::uint64_t digest(const SimResults& r) {
-  Digest d;
-  for (const LatencySummary* l : {&r.network_latency, &r.total_latency}) {
-    d.mix(l->count);
-    d.mix(l->mean);
-    d.mix(l->min);
-    d.mix(l->max);
-    d.mix(l->p50);
-    d.mix(l->p95);
-    d.mix(l->p99);
-  }
-  d.mix(r.packets_created);
-  d.mix(r.packets_created_measured);
-  d.mix(r.packets_delivered_measured);
-  d.mix(r.packets_dropped_unroutable);
-  d.mix(r.flits_ejected_in_window);
-  d.mix(static_cast<std::uint64_t>(r.cycles_run));
-  d.mix(static_cast<std::uint64_t>(r.measure_cycles));
-  d.mix(r.deadlock_detected ? std::uint64_t{1} : 0);
-  d.mix(r.drained ? std::uint64_t{1} : 0);
-  for (const auto& region : r.region_vc_flits) {
-    for (std::uint64_t v : region) {
-      d.mix(v);
-    }
-  }
-  for (std::uint64_t v : r.vl_channel_flits) {
-    d.mix(v);
-  }
-  return d.value();
-}
 
 SimKnobs golden_knobs() {
   SimKnobs k;
@@ -172,6 +124,49 @@ std::uint64_t resumed_digest(const Scenario& s,
   return digest(run->stepper.finish());
 }
 
+TEST(SimStepper, SingleCycleCapsMatchOneShotRun) {
+  // The cap parameter itself: advancing a stepper one cycle at a time
+  // must reproduce the uncapped run exactly, including the phase
+  // transitions (warmup -> measure -> last measure cycle -> drain) that
+  // the capped loop re-dispatches on every advance() call. The timeline
+  // input adds a mid-run link failure and repair under reroute: fault
+  // surgery is driven off the simulation clock, so its events must land
+  // on the same cycles when every cycle is its own advance() call.
+  SimKnobs knobs;
+  knobs.warmup = 40;
+  knobs.measure = 90;
+  knobs.drain_max = 800;
+  knobs.seed = 11;
+  FaultTimeline fail_repair;
+  fail_repair.add_transient(ctx4().topo().vl(2).down_vl_channel(), 60, 110);
+
+  const FaultTimeline* const timelines[] = {nullptr, &fail_repair};
+  for (const FaultTimeline* timeline : timelines) {
+    SCOPED_TRACE(timeline == nullptr ? "no timeline" : "fail + repair");
+    const auto alg_ref = ctx4().make_algorithm(Algorithm::deft);
+    const auto traffic_ref = make_traffic(ctx4().topo(), "uniform", 0.02);
+    Simulator ref(ctx4().topo(), *alg_ref, *traffic_ref, knobs, {}, timeline,
+                  InFlightPolicy::reroute);
+    const SimResults expected = ref.run();
+    if (timeline != nullptr) {
+      EXPECT_GT(expected.fault_window_created, 0u);
+    }
+
+    const auto alg_step = ctx4().make_algorithm(Algorithm::deft);
+    const auto traffic_step = make_traffic(ctx4().topo(), "uniform", 0.02);
+    Simulator sim(ctx4().topo(), *alg_step, *traffic_step, knobs, {},
+                  timeline, InFlightPolicy::reroute);
+    SimWorkspace ws;
+    SimStepper stepper;
+    stepper.start(sim, ws);
+    Cycle cap = 1;
+    while (!stepper.advance(cap)) {
+      ++cap;
+    }
+    expect_identical(stepper.finish(), expected);
+  }
+}
+
 TEST(Snapshot, RoundTripReproducesGoldenDigests) {
   // Interior pause points across all three phases (warmup ends at 500,
   // the measurement window at 2000): golden digests must survive a
@@ -243,49 +238,6 @@ TEST(Snapshot, RestoredRunsMatchShardedExecution) {
       const SimResults sharded = run_sim(ctx4(), s.algorithm, traffic,
                                          knobs, faults, s.strategy);
       EXPECT_EQ(digest(sharded), resumed);
-    }
-  }
-}
-
-TEST(Snapshot, RestoredRunsMatchBatchedExecution) {
-  // Same argument for throughput mode: batching is an execution schedule,
-  // not a semantic, so a snapshot of the serial stepper resumes a batched
-  // run. Every non-trace golden, interrupted at two interior cycles, must
-  // land on the digest the batched executor produces at widths 4 and 8.
-  std::uint64_t resumed[6][2];
-  for (std::size_t i = 0; i < 6; ++i) {
-    const Scenario& s = kScenarios[i];
-    SCOPED_TRACE(s.name);
-    resumed[i][0] = resumed_digest(s, snapshot_at(s, 650));
-    resumed[i][1] = resumed_digest(s, snapshot_at(s, 1111));
-    EXPECT_EQ(resumed[i][0], resumed[i][1]);
-  }
-  for (int batch_size : {4, 8}) {
-    SCOPED_TRACE(batch_size);
-    std::vector<BatchJob> jobs;
-    for (std::size_t i = 0; i < 6; ++i) {
-      const Scenario& s = kScenarios[i];
-      BatchJob job;
-      job.topo = &ctx4().topo();
-      VlFaultSet faults;
-      if (s.fault_count > 0) {
-        faults = grid_fault_pattern(ctx4(), s.fault_count);
-      }
-      const SimKnobs knobs = golden_knobs();
-      job.algorithm = ctx4().make_algorithm(s.algorithm, faults,
-                                            knobs.num_vcs, s.strategy);
-      job.traffic = std::make_unique<UniformTraffic>(ctx4().topo(), 0.02);
-      job.knobs = knobs;
-      job.faults = faults;
-      jobs.push_back(std::move(job));
-    }
-    BatchRunner runner(batch_size);
-    const std::vector<BatchOutcome> outcomes = runner.run(jobs);
-    ASSERT_EQ(outcomes.size(), 6u);
-    for (std::size_t i = 0; i < outcomes.size(); ++i) {
-      SCOPED_TRACE(kScenarios[i].name);
-      ASSERT_FALSE(outcomes[i].error);
-      EXPECT_EQ(digest(outcomes[i].results), resumed[i][0]);
     }
   }
 }

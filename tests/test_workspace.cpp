@@ -22,6 +22,7 @@
 #include <new>
 
 #include "core/runner.hpp"
+#include "sim_results_checks.hpp"
 
 // ---------------------------------------------------------------------------
 // Counting operator new. The counter only ticks while armed, so gtest's
@@ -95,39 +96,6 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
 
 namespace deft {
 namespace {
-
-void expect_identical(const SimResults& a, const SimResults& b) {
-  for (int which = 0; which < 2; ++which) {
-    const LatencySummary& la =
-        which == 0 ? a.network_latency : a.total_latency;
-    const LatencySummary& lb =
-        which == 0 ? b.network_latency : b.total_latency;
-    EXPECT_EQ(la.count, lb.count);
-    EXPECT_EQ(la.mean, lb.mean);
-    EXPECT_EQ(la.min, lb.min);
-    EXPECT_EQ(la.max, lb.max);
-    EXPECT_EQ(la.p50, lb.p50);
-    EXPECT_EQ(la.p95, lb.p95);
-    EXPECT_EQ(la.p99, lb.p99);
-  }
-  EXPECT_EQ(a.packets_created, b.packets_created);
-  EXPECT_EQ(a.packets_created_measured, b.packets_created_measured);
-  EXPECT_EQ(a.packets_delivered_measured, b.packets_delivered_measured);
-  EXPECT_EQ(a.packets_dropped_unroutable, b.packets_dropped_unroutable);
-  EXPECT_EQ(a.flits_ejected_in_window, b.flits_ejected_in_window);
-  EXPECT_EQ(a.flit_hops, b.flit_hops);
-  EXPECT_EQ(a.cycles_run, b.cycles_run);
-  EXPECT_EQ(a.measure_cycles, b.measure_cycles);
-  EXPECT_EQ(a.deadlock_detected, b.deadlock_detected);
-  EXPECT_EQ(a.drained, b.drained);
-  EXPECT_EQ(a.packets_lost, b.packets_lost);
-  EXPECT_EQ(a.packets_lost_measured, b.packets_lost_measured);
-  EXPECT_EQ(a.fault_window_created, b.fault_window_created);
-  EXPECT_EQ(a.fault_window_delivered, b.fault_window_delivered);
-  EXPECT_EQ(a.reconvergence_latency, b.reconvergence_latency);
-  EXPECT_EQ(a.region_vc_flits, b.region_vc_flits);
-  EXPECT_EQ(a.vl_channel_flits, b.vl_channel_flits);
-}
 
 SimKnobs short_knobs() {
   SimKnobs knobs;

@@ -6,9 +6,8 @@ Usage: check_perf_regression.py BASELINE.json NEW.json [--tolerance 0.25]
 
 The gate tracks the machine-portable metrics: the per-scenario speedup
 ratios (active-set/full-scan for the matrix scenarios, workspace/fresh-
-Simulator for the short-run sweep scenario, batched/fresh-Simulator for
-its "sweep1k/batchN" editions), which are measured within one run on one
-machine and so cancel out host speed. A ratio that drops
+Simulator for the short-run sweep scenario), which are measured within
+one run on one machine and so cancel out host speed. A ratio that drops
 more than --tolerance below the committed baseline fails the check, as
 does a scenario present in the baseline but missing from the fresh run
 (a silently shrunk matrix must not pass the gate). Absolute cycles/sec
@@ -171,7 +170,7 @@ def main() -> int:
             print(f"info {label}: "
                   f"{point.get('cycles_per_sec', 0):,.0f} cycles/s, "
                   f"{point.get('flit_hops_per_sec', 0):,.0f} flit-hops/s")
-        elif point.get("mode") in ("workspace", "batched"):
+        elif point.get("mode") == "workspace":
             print(f"info {point.get('scenario', '?')}: "
                   f"{point.get('points_per_sec', 0):,.1f} sweep points/s")
 

@@ -16,7 +16,6 @@
 //   --workers N        pool width           [hardware concurrency]
 //   --high-water N     queue high-water mark before overload [256]
 //   --batch N          max requests per pool dispatch [64]
-//   --batch-size N     resident interleaved runs per worker [1]
 //   --poll-ms N        spool poll interval [50]
 //   --cache-cap N      artifact-cache capacity per tier [32]
 //   --max-cycles N     per-run cycle budget [2000000]
@@ -83,9 +82,6 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(arg, "--batch") == 0) {
       options.batch_max =
           static_cast<std::size_t>(parse_long(arg, value(), 1, 1'000'000));
-    } else if (std::strcmp(arg, "--batch-size") == 0) {
-      options.engine.batch_size =
-          static_cast<int>(parse_long(arg, value(), 1, kMaxBatchSize));
     } else if (std::strcmp(arg, "--poll-ms") == 0) {
       options.poll_ms = static_cast<int>(parse_long(arg, value(), 1, 60'000));
     } else if (std::strcmp(arg, "--cache-cap") == 0) {
