@@ -867,9 +867,10 @@ const SimResults& Simulator::run(SimWorkspace& ws) {
     // and the latency summaries sort their samples, so the merge order
     // cannot influence the results.
     SimResults& results = ws.results_;
+    std::uint64_t delivered_measured = 0;
     for (const ShardRun& sh : ws.shard_runs_) {
       results.flits_ejected_in_window += sh.flits_ejected_in_window;
-      results.packets_delivered_measured += sh.delivered_measured;
+      delivered_measured += sh.delivered_measured;
       for (std::size_t r = 0; r < results.region_vc_flits.size(); ++r) {
         for (std::size_t v = 0; v < results.region_vc_flits[r].size(); ++v) {
           results.region_vc_flits[r][v] += sh.region_vc_flits[r][v];
@@ -885,19 +886,28 @@ const SimResults& Simulator::run(SimWorkspace& ws) {
                                  sh.total_latencies.begin(),
                                  sh.total_latencies.end());
     }
-    results.cycles_run = st.now;
-    results.deadlock_detected = st.deadlock;
-    results.outcome =
-        st.deadlock ? RunOutcome::deadlocked : RunOutcome::completed;
-    results.drained = st.drained;
-    results.packets_created = st.counters.created;
-    results.packets_created_measured = st.counters.created_measured;
-    results.packets_dropped_unroutable = st.counters.dropped_unroutable;
-    results.network_latency = LatencySummary::from_samples(ws.net_latencies_);
-    results.total_latency = LatencySummary::from_samples(ws.total_latencies_);
-    ws.surgeon_.finalize(results, ws.packets_);
-    return results;
+    return finish(ws, st.now, st.deadlock, st.drained, st.counters,
+                  delivered_measured);
   }
+}
+
+const SimResults& Simulator::finish(SimWorkspace& ws, Cycle cycles,
+                                    bool deadlock, bool drained,
+                                    const NiCounters& counters,
+                                    std::uint64_t delivered_measured) {
+  SimResults& results = ws.results_;
+  results.cycles_run = cycles;
+  results.deadlock_detected = deadlock;
+  results.outcome = deadlock ? RunOutcome::deadlocked : RunOutcome::completed;
+  results.drained = drained;
+  results.packets_created = counters.created;
+  results.packets_created_measured = counters.created_measured;
+  results.packets_delivered_measured = delivered_measured;
+  results.packets_dropped_unroutable = counters.dropped_unroutable;
+  results.network_latency = LatencySummary::from_samples(ws.net_latencies_);
+  results.total_latency = LatencySummary::from_samples(ws.total_latencies_);
+  ws.surgeon_.finalize(results, ws.packets_);
+  return results;
 }
 
 // ------------------------------------------------------------- SimStepper
@@ -1003,25 +1013,12 @@ bool SimStepper::advance(Cycle cap) {
 
 const SimResults& SimStepper::finish() {
   require(sim_ != nullptr && done_, "SimStepper::finish before the run ended");
-  SimWorkspace& ws = *ws_;
-  SimResults& results = ws.results_;
   if (finished_) {
-    return results;
+    return ws_->results_;
   }
   finished_ = true;
-  results.cycles_run = now_;
-  results.deadlock_detected = deadlock_;
-  results.outcome =
-      deadlock_ ? RunOutcome::deadlocked : RunOutcome::completed;
-  results.drained = drained_;
-  results.packets_created = counters_.created;
-  results.packets_created_measured = counters_.created_measured;
-  results.packets_delivered_measured = delivered_measured_;
-  results.packets_dropped_unroutable = counters_.dropped_unroutable;
-  results.network_latency = LatencySummary::from_samples(ws.net_latencies_);
-  results.total_latency = LatencySummary::from_samples(ws.total_latencies_);
-  ws.surgeon_.finalize(results, ws.packets_);
-  return results;
+  return Simulator::finish(*ws_, now_, deadlock_, drained_, counters_,
+                           delivered_measured_);
 }
 
 }  // namespace deft

@@ -220,6 +220,12 @@ class Simulator {
   /// stepper and the sharded driver). `partition` is non-null only for
   /// sharded execution.
   void prepare(SimWorkspace& ws, const Partition* partition);
+  /// Run-end finalization, also shared by both paths: the end state and
+  /// counters, the latency summaries and the surgeon's fault metrics.
+  static const SimResults& finish(SimWorkspace& ws, Cycle cycles,
+                                  bool deadlock, bool drained,
+                                  const NiCounters& counters,
+                                  std::uint64_t delivered_measured);
 
   const Topology* topo_;
   RoutingAlgorithm* algorithm_;

@@ -22,6 +22,27 @@
 // timeline, in-flight policy) and restore_snapshot() rejects any
 // mismatch. Corrupt, truncated or version-mismatched images are rejected
 // with a SnapshotError diagnostic - never restored into a wrong result.
+//
+// One walk per struct (snapshot.cpp): each checkpointed struct has a
+// single template that names its fields in image order, run once against
+// a Writer to save and once against a bounds-checked Reader to restore,
+// so no field can be saved but not restored, or restored out of order.
+// To change the image, edit the walk, bump kSnapshotVersion and re-pin
+// Snapshot.ImageBytesArePinned (tests/test_snapshot.cpp). Struct reset()
+// methods stay separate: they restore constructor defaults while keeping
+// capacity, which a field walk cannot say without a second table.
+//
+// Run state left out of the image on purpose:
+//   - the fault surgeon's order_ and ni_of_node_, which reset() rebuilds
+//     from the timeline and the NIs, and its per-event scratch (doomed_,
+//     doomed_list_, pinned_empty_), reassigned at every event;
+//   - each NI's counter-stream key, a pure function of (seed, node) that
+//     prepare() rebuilds, and its prepared_ routes, which only the sharded
+//     core's parallel phase fills (the stepper is serial);
+//   - the network's staged outboxes, empty at every pause (save refuses
+//     an image otherwise);
+//   - RouteStore's hash index, which re-interning the routes rebuilds;
+//   - the SimResults fields that finish() fills at the end of the run.
 #pragma once
 
 #include <cstdint>
@@ -58,8 +79,9 @@ std::vector<std::uint8_t> save_snapshot(const SimStepper& stepper);
 /// knobs, initial faults, timeline and policy; the embedded fingerprint
 /// is checked and any mismatch rejected. On return the stepper is paused
 /// exactly where the saved run was: advance()/finish() continue it
-/// bit-identically. Throws SnapshotError on any invalid image, leaving
-/// no partial state behind that could produce a wrong result (the
+/// bit-identically. Throws SnapshotError on any invalid image - also when
+/// the algorithm or traffic generator rejects its saved stream state -
+/// leaving no partial state behind that could produce a wrong result (the
 /// stepper must simply not be used after a failed restore).
 void restore_snapshot(const std::vector<std::uint8_t>& data, Simulator& sim,
                       SimStepper& stepper, SimWorkspace& ws);

@@ -15,6 +15,8 @@
 #include "service/daemon.hpp"
 #include "service/request.hpp"
 #include "service/spool.hpp"
+#include "sim/snapshot.hpp"
+#include "snapshot_image.hpp"
 
 namespace deft {
 namespace {
@@ -588,25 +590,42 @@ TEST(CampaignEngine, ResumesFromACheckpointImage) {
 }
 
 TEST(CampaignEngine, CorruptCheckpointRestartsCleanFromCycleZero) {
-  TempDir dir;
-  const CampaignOptions options = checkpointed_options(dir);
-  const fs::path image = options.checkpoint_dir /
-                         ("r" + std::string(kCheckpointExtension));
-  ASSERT_TRUE(atomic_write_file(image, "this is not a snapshot"));
-
   CampaignOptions plain_options;
   plain_options.workers = 1;
   CampaignEngine plain(plain_options);
   const ResultRow expected =
       plain.run_batch({make_request("r", valid_text())})[0];
 
+  TempDir dir;
+  const CampaignOptions options = checkpointed_options(dir);
+  const fs::path image = options.checkpoint_dir /
+                         ("r" + std::string(kCheckpointExtension));
   CampaignEngine engine(options);
-  const ResultRow row = engine.run_batch({make_request("r", valid_text())})[0];
-  EXPECT_EQ(row.outcome, RequestOutcome::ok);
-  EXPECT_EQ(row.resumed_at, -1);  // the garbage image was discarded
-  EXPECT_EQ(row.packets_created, expected.packets_created);
-  EXPECT_EQ(row.cycles, expected.cycles);
-  EXPECT_EQ(row.latency_mean, expected.latency_mean);
+  // A real checkpoint of the same request, edited so that its DeFT stream
+  // holds three words instead of four and re-sealed: it passes every
+  // header check and fails inside the restore.
+  ASSERT_EQ(engine.run_batch({make_request("r", valid_text())})[0].outcome,
+            RequestOutcome::ok);
+  std::vector<std::uint8_t> short_stream = read_snapshot_file(image);
+  const std::size_t at = algorithm_stream_count_offset(short_stream);
+  ASSERT_EQ(image_u64(short_stream, at), 4u);
+  set_image_u64(short_stream, at, 3);
+  reseal(short_stream);
+
+  const std::string inputs[] = {
+      "this is not a snapshot",
+      std::string(short_stream.begin(), short_stream.end())};
+  for (const std::string& bytes : inputs) {
+    SCOPED_TRACE(bytes.size());
+    ASSERT_TRUE(atomic_write_file(image, bytes));
+    const ResultRow row =
+        engine.run_batch({make_request("r", valid_text())})[0];
+    EXPECT_EQ(row.outcome, RequestOutcome::ok) << row.error;
+    EXPECT_EQ(row.resumed_at, -1);  // the bad image was discarded
+    EXPECT_EQ(row.packets_created, expected.packets_created);
+    EXPECT_EQ(row.cycles, expected.cycles);
+    EXPECT_EQ(row.latency_mean, expected.latency_mean);
+  }
 }
 
 TEST(CampaignDaemon, RemovesCheckpointImageAtCommit) {

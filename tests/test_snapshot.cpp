@@ -8,14 +8,18 @@
 // corrupt, truncated, version-mismatched or wrong-configuration image
 // must be rejected with a SnapshotError, never restored into a silently
 // wrong result. Snapshots rest on the stepper's own guarantee, pinned
-// first: pausing at every cycle boundary changes nothing.
+// first: pausing at every cycle boundary changes nothing. The image bytes
+// are pinned too, since a checkpoint written before an upgrade must
+// restore after it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 
 #include "core/runner.hpp"
 #include "sim/snapshot.hpp"
 #include "sim_results_checks.hpp"
+#include "snapshot_image.hpp"
 #include "traffic/trace.hpp"
 
 namespace deft {
@@ -44,6 +48,10 @@ struct Scenario {
   int fault_count = 0;
   bool trace = false;
   std::uint64_t expected_digest = 0;  ///< 0 = derive from straight run
+  RngMode rng_mode = RngMode::serial;
+  /// Two vertical channels fail inside the measurement window (cycles 700
+  /// and 900) and are repaired at 1400, under the reroute policy.
+  bool fail_repair = false;
 };
 
 // The six golden configurations of test_sim_equivalence.cpp (uniform
@@ -69,11 +77,32 @@ const Scenario kScenarios[] = {
      0xd48e63dd7ca05101ULL},
 };
 
-std::vector<TraceRecord> golden_trace() {
-  return record_uniform_trace(ctx4().topo(), 0.03, 1500);
+// deft_random in counter RNG mode: the one configuration whose per-NI
+// route streams carry draws (format v2). Its digest is pinned by
+// test_sim_sharded.cpp.
+const Scenario kCounterRandom = {"deft_random_counter", Algorithm::deft,
+                                 VlStrategy::random, 0, false,
+                                 0x0df1a74aafdcf75bULL, RngMode::counter};
+
+// Dynamic faults: the surgeon's cursor, fault-window intervals and
+// affected-route plane, and the algorithm's rebuilt tables.
+const Scenario kFailRepair = {"deft_fail_repair", Algorithm::deft,
+                              VlStrategy::table, 0, false, 0,
+                              RngMode::serial, true};
+
+const std::vector<TraceRecord>& golden_trace() {
+  static const std::vector<TraceRecord> trace =
+      record_uniform_trace(ctx4().topo(), 0.03, 1500);
+  return trace;
 }
 
+/// One run of a scenario. The configuration is kept beside the
+/// Simulator so that a fresh one can be built over the same instances.
 struct Run {
+  SimKnobs knobs;
+  VlFaultSet faults;
+  FaultTimeline timeline;  ///< must outlive the Simulator
+  InFlightPolicy policy = InFlightPolicy::drop;
   std::unique_ptr<RoutingAlgorithm> algorithm;
   std::unique_ptr<TrafficGenerator> traffic;
   std::unique_ptr<Simulator> sim;
@@ -81,22 +110,34 @@ struct Run {
   SimStepper stepper;
 };
 
+std::unique_ptr<Simulator> make_sim(Run& run) {
+  return std::make_unique<Simulator>(
+      ctx4().topo(), *run.algorithm, *run.traffic, run.knobs, run.faults,
+      run.timeline.empty() ? nullptr : &run.timeline, run.policy);
+}
+
 std::unique_ptr<Run> make_run(const Scenario& s) {
   auto run = std::make_unique<Run>();
-  const SimKnobs knobs = golden_knobs();
-  VlFaultSet faults;
+  run->knobs = golden_knobs();
+  run->knobs.rng_mode = s.rng_mode;
   if (s.fault_count > 0) {
-    faults = grid_fault_pattern(ctx4(), s.fault_count);
+    run->faults = grid_fault_pattern(ctx4(), s.fault_count);
   }
-  run->algorithm =
-      ctx4().make_algorithm(s.algorithm, faults, knobs.num_vcs, s.strategy);
+  if (s.fail_repair) {
+    run->timeline.add_transient(ctx4().topo().vl(2).down_vl_channel(), 700,
+                                1400);
+    run->timeline.add_transient(ctx4().topo().vl(6).up_vl_channel(), 900,
+                                1400);
+    run->policy = InFlightPolicy::reroute;
+  }
+  run->algorithm = ctx4().make_algorithm(s.algorithm, run->faults,
+                                         run->knobs.num_vcs, s.strategy);
   if (s.trace) {
     run->traffic = std::make_unique<TraceReplayGenerator>(golden_trace());
   } else {
     run->traffic = std::make_unique<UniformTraffic>(ctx4().topo(), 0.02);
   }
-  run->sim = std::make_unique<Simulator>(ctx4().topo(), *run->algorithm,
-                                         *run->traffic, knobs, faults);
+  run->sim = make_sim(*run);
   return run;
 }
 
@@ -246,48 +287,105 @@ TEST(Snapshot, CounterRngStreamStateRoundTrips) {
   // Counter mode adds per-NI route-stream draw counters to the image
   // (format v2): a mid-run restore must resume every NI's stream at the
   // exact draw it was paused on. deft_random is the one configuration
-  // that consumes those streams, and its counter-mode golden is pinned
-  // by test_sim_sharded.cpp - the digest must survive the round trip.
-  const Scenario& s = kScenarios[2];
-  ASSERT_STREQ(s.name, "deft_random");
-  SimKnobs knobs = golden_knobs();
-  knobs.rng_mode = RngMode::counter;
-  // (`Run` unqualified inside a TEST body names testing::Test::Run.)
-  using SnapshotRun = deft::Run;
-  const auto make = [&] {
-    auto run = std::make_unique<SnapshotRun>();
-    run->algorithm =
-        ctx4().make_algorithm(s.algorithm, {}, knobs.num_vcs, s.strategy);
-    run->traffic = std::make_unique<UniformTraffic>(ctx4().topo(), 0.02);
-    run->sim = std::make_unique<Simulator>(ctx4().topo(), *run->algorithm,
-                                           *run->traffic, knobs, VlFaultSet{});
-    return run;
-  };
-  auto straight = make();
-  straight->stepper.start(*straight->sim, straight->ws);
-  straight->stepper.advance();
-  const std::uint64_t expected = digest(straight->stepper.finish());
-  EXPECT_EQ(expected, 0x0df1a74aafdcf75bULL);
-
+  // that consumes those streams - its counter-mode golden must survive
+  // the round trip.
+  const Scenario& s = kCounterRandom;
+  EXPECT_EQ(straight_digest(s), s.expected_digest);
   for (const Cycle pause : {Cycle{137}, Cycle{1250}}) {
     SCOPED_TRACE(pause);
-    auto paused = make();
-    paused->stepper.start(*paused->sim, paused->ws);
-    paused->stepper.advance(pause);
-    const std::vector<std::uint8_t> image = save_snapshot(paused->stepper);
-    auto resumed = make();
-    restore_snapshot(image, *resumed->sim, resumed->stepper, resumed->ws);
-    resumed->stepper.advance();
-    EXPECT_EQ(digest(resumed->stepper.finish()), expected);
+    EXPECT_EQ(resumed_digest(s, snapshot_at(s, pause)), s.expected_digest);
   }
 
   // rng_mode is part of the configuration fingerprint: the serial-mode
   // image of the same scenario is a different run and must be rejected.
-  const std::vector<std::uint8_t> serial_image = snapshot_at(s, 600);
-  auto counter_run = make();
+  const std::vector<std::uint8_t> serial_image =
+      snapshot_at(kScenarios[2], 600);
+  auto counter_run = make_run(s);
   EXPECT_THROW(restore_snapshot(serial_image, *counter_run->sim,
                                 counter_run->stepper, counter_run->ws),
                SnapshotError);
+}
+
+TEST(Snapshot, ImageBytesArePinned) {
+  // The image format is a contract across builds: a checkpoint written
+  // before an upgrade must restore after it. Each case reaches a section
+  // the golden digests only see indirectly - RC units, trace cursors,
+  // per-NI counter-stream draws, the fault surgeon mid-window. A failure
+  // here means the image changed: bump kSnapshotVersion and re-pin.
+  struct Pin {
+    const Scenario* scenario;
+    Cycle pause;
+    std::size_t size;
+    std::uint64_t fnv;
+  };
+  const Pin pins[] = {
+      {&kScenarios[4], 777, 110702, 0x3765ce6ebe53a5eeULL},
+      {&kScenarios[7], 777, 144892, 0x4bd2aa66c6b40270ULL},
+      {&kCounterRandom, 1250, 147705, 0x440d1785b736bcb4ULL},
+      {&kFailRepair, 1000, 128085, 0xd21705a9bef66e81ULL},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(pin.scenario->name);
+    const std::vector<std::uint8_t> image =
+        snapshot_at(*pin.scenario, pin.pause);
+    const std::uint64_t fnv = snapshot_fnv1a(image.data(), image.size());
+    EXPECT_EQ(image.size(), pin.size);
+    EXPECT_EQ(fnv, pin.fnv) << "0x" << std::hex << fnv;
+  }
+}
+
+TEST(Snapshot, TruncatedPayloadIsRejectedAtEveryCut) {
+  // Each cut is re-sealed (length and checksum rewritten), so the header
+  // checks pass and the restore walk's own bounded reads must catch the
+  // missing bytes - at every byte of both ends of the payload and about
+  // every 100th byte in between.
+  for (const Scenario* s : {&kScenarios[4], &kScenarios[7], &kFailRepair}) {
+    SCOPED_TRACE(s->name);
+    const std::vector<std::uint8_t> image = snapshot_at(*s, 777);
+    // A failed restore spends its Simulator, so each cut gets a fresh one.
+    // The algorithm, traffic and workspace are shared: every cut must
+    // fail, whatever an earlier partial restore left in them.
+    auto shared = make_run(*s);
+    const std::size_t payload = image.size() - kSnapshotPayloadOffset;
+    const auto next_cut = [payload](std::size_t cut) {
+      return cut < 512 || cut + 512 >= payload
+                 ? cut + 1
+                 : std::min(cut + 97, payload - 512);
+    };
+    for (std::size_t cut = 0; cut < payload; cut = next_cut(cut)) {
+      std::vector<std::uint8_t> truncated(
+          image.begin(),
+          image.begin() + static_cast<std::ptrdiff_t>(
+                              kSnapshotPayloadOffset + cut));
+      reseal(truncated);
+      const std::unique_ptr<Simulator> sim = make_sim(*shared);
+      SimStepper stepper;
+      EXPECT_THROW(restore_snapshot(truncated, *sim, stepper, shared->ws),
+                   SnapshotError)
+          << "cut at payload byte " << cut;
+    }
+  }
+}
+
+TEST(Snapshot, StreamHookFailureIsASnapshotError) {
+  // A checksum-valid image whose DeFT stream holds three words instead of
+  // four: the algorithm's loader rejects it, and restore_snapshot() must
+  // report that as SnapshotError - the only error a campaign catches
+  // before restarting the run from cycle 0.
+  std::vector<std::uint8_t> image = snapshot_at(kScenarios[0], 600);
+  const std::size_t at = algorithm_stream_count_offset(image);
+  ASSERT_EQ(image_u64(image, at), 4u);
+  set_image_u64(image, at, 3);
+  reseal(image);
+  auto run = make_run(kScenarios[0]);
+  try {
+    restore_snapshot(image, *run->sim, run->stepper, run->ws);
+    FAIL() << "short stream state restored";
+  } catch (const SnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find("DeFT stream state underflow"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Snapshot, TruncatedImageIsRejected) {
