@@ -101,21 +101,48 @@ BENCHMARK_CAPTURE(BM_SimulationCycles, full_scan, SimCore::full_scan)
     ->Arg(1000)
     ->Unit(benchmark::kMillisecond);
 
-void BM_VlSelectionComposition(benchmark::State& state) {
-  // Algorithm 2's exact solver for one 16-router / 4-VL chiplet scenario.
+/// The 16 routers of a 4x4 chiplet, row-major.
+std::vector<Coord> chiplet4x4_routers() {
   std::vector<Coord> routers;
   for (int y = 0; y < 4; ++y) {
     for (int x = 0; x < 4; ++x) {
       routers.push_back({x, y});
     }
   }
+  return routers;
+}
+
+void BM_VlSelectionComposition(benchmark::State& state) {
+  // Algorithm 2's exact solver for one 16-router / 4-VL chiplet scenario.
   const VlSelectionProblem p = VlSelectionProblem::uniform(
-      routers, {{1, 0}, {3, 2}, {2, 3}, {0, 1}});
+      chiplet4x4_routers(), {{1, 0}, {3, 2}, {2, 3}, {0, 1}});
   for (auto _ : state) {
     benchmark::DoNotOptimize(solve_composition(p));
   }
 }
 BENCHMARK(BM_VlSelectionComposition)->Unit(benchmark::kMillisecond);
+
+void BM_VlSelectionExhaustive(benchmark::State& state) {
+  // Literal Algorithm 2 over all 2^16 selections: what a table build runs
+  // for each two-alive-VL mask of a 4x4 chiplet, its costliest scenarios.
+  const VlSelectionProblem p =
+      VlSelectionProblem::uniform(chiplet4x4_routers(), {{1, 0}, {2, 3}});
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(solve_exhaustive(p));
+  }
+}
+BENCHMARK(BM_VlSelectionExhaustive)->Unit(benchmark::kMillisecond);
+
+void BM_SystemVlTables(benchmark::State& state) {
+  // Every down and up table of a reference system (Arg: chiplets), as a
+  // context builds them on its first DeFT table-strategy run.
+  const Topology topo(make_reference_spec(static_cast<int>(state.range(0))));
+  for (auto _ : state) {
+    Rng rng(1);
+    benchmark::DoNotOptimize(SystemVlTables::build(topo, rng));
+  }
+}
+BENCHMARK(BM_SystemVlTables)->Arg(4)->Arg(6)->Unit(benchmark::kMillisecond);
 
 void BM_VlSelectionAnneal(benchmark::State& state) {
   std::vector<Coord> routers;

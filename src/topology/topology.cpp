@@ -53,6 +53,9 @@ void Topology::validate_spec() const {
     }
     require(!ch.vl_positions.empty(),
             "Topology: every chiplet needs at least one vertical link");
+    require(ch.vl_positions.size() <=
+                static_cast<std::size_t>(kMaxVlsPerChiplet),
+            "Topology: a chiplet may have at most 8 vertical links");
     for (const Coord& v : ch.vl_positions) {
       require(v.x >= 0 && v.x < ch.width && v.y >= 0 && v.y < ch.height,
               "Topology: VL position outside its chiplet");

@@ -102,11 +102,17 @@ struct VerticalLink {
   VlChannelId up_vl_channel() const { return 2 * id + 1; }
 };
 
+/// Most VLs one chiplet may have. Routing keeps a chiplet's alive VLs in
+/// 8-bit masks and its (down, up) VL pairs in 64-bit combo masks (bit
+/// 8 * down + up, RoutingAlgorithm::pair_combo_mask).
+inline constexpr int kMaxVlsPerChiplet = 8;
+
 struct ChipletSpec {
   int width = 4;
   int height = 4;
   Coord origin;                     ///< top-left corner on the interposer grid
-  std::vector<Coord> vl_positions;  ///< boundary-router coords (chiplet-local)
+  /// Boundary-router coords (chiplet-local): 1 to kMaxVlsPerChiplet VLs.
+  std::vector<Coord> vl_positions;
 };
 
 struct SystemSpec {

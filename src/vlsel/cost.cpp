@@ -1,5 +1,6 @@
 #include "vlsel/cost.hpp"
 
+#include <array>
 #include <cmath>
 
 namespace deft {
@@ -28,6 +29,8 @@ void validate_selection(const VlSelectionProblem& p, const VlSelection& s) {
   require(static_cast<int>(s.size()) == p.num_routers(),
           "selection size must equal the router count");
   require(p.num_vls() >= 1, "selection problem needs at least one alive VL");
+  require(p.num_vls() <= kMaxVlsPerChiplet,
+          "selection problem has more VLs than a chiplet may have");
   require(p.routers.size() == p.traffic.size(),
           "traffic vector must match router count");
   for (int v : s) {
@@ -75,9 +78,27 @@ double vl_distance_cost(const VlSelectionProblem& p, const VlSelection& s,
 
 double selection_cost(const VlSelectionProblem& p, const VlSelection& s) {
   validate_selection(p, s);
+  // One pass accumulates every VL's load (eq. 1) and distance (eq. 5).
+  // Each sum adds its routers in router order, as vl_load and
+  // vl_distance_cost do, so every term - and the cost - is bit-identical
+  // to the per-VL functions' at O(R + V) instead of O(V^2 R).
+  const std::size_t num_vls = p.vls.size();
+  std::array<double, kMaxVlsPerChiplet> load{};
+  std::array<double, kMaxVlsPerChiplet> dist{};
+  for (std::size_t r = 0; r < s.size(); ++r) {
+    const auto v = static_cast<std::size_t>(s[r]);
+    load[v] += p.traffic[r];
+    dist[v] += manhattan(p.routers[r], p.vls[v]);
+  }
+  double total = 0.0;
+  for (std::size_t v = 0; v < num_vls; ++v) {
+    total += load[v];
+  }
+  const double avg = total / p.num_vls();  // eq. 2
   double cost = 0.0;
-  for (int v = 0; v < p.num_vls(); ++v) {
-    cost += p.rho * vl_distance_cost(p, s, v) + vl_load_cost(p, s, v);
+  for (std::size_t v = 0; v < num_vls; ++v) {
+    const double load_cost = avg <= 0.0 ? 0.0 : std::abs(load[v] - avg) / avg;
+    cost += p.rho * dist[v] + load_cost;
   }
   return cost;
 }

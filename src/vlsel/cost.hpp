@@ -23,6 +23,7 @@ struct VlSelectionProblem {
   std::vector<Coord> routers;   ///< chiplet-local coordinates of the routers
   std::vector<double> traffic;  ///< T_r: inter-chiplet traffic rate per router
   std::vector<Coord> vls;       ///< chiplet-local coordinates of *alive* VLs
+                                ///< (at most kMaxVlsPerChiplet)
   double rho = 0.01;            ///< distance-vs-balance weight (paper: 0.01)
 
   int num_routers() const { return static_cast<int>(routers.size()); }
@@ -55,7 +56,8 @@ double vl_load_cost(const VlSelectionProblem& p, const VlSelection& s, int v);
 double vl_distance_cost(const VlSelectionProblem& p, const VlSelection& s,
                         int v);
 
-/// Overall selection cost (eq. 6).
+/// Overall selection cost (eq. 6) in one O(R + V) pass. Bit-identical to
+/// summing rho * vl_distance_cost + vl_load_cost over the VLs in order.
 double selection_cost(const VlSelectionProblem& p, const VlSelection& s);
 
 /// Validates that `s` is a well-formed selection for `p`.

@@ -59,6 +59,17 @@ class ChipletVlTable {
   int faulty_entry_count() const;
 
  private:
+  friend class SystemVlTables;
+
+  /// A table addressed to `chiplet` and `side`, with no selections yet.
+  static ChipletVlTable addressed(const Topology& topo, int chiplet,
+                                  VlTableSide side);
+
+  /// This table's selections, addressed to `chiplet` and `side`. The
+  /// chiplet must have this table's geometry.
+  ChipletVlTable copy_for(const Topology& topo, int chiplet,
+                          VlTableSide side) const;
+
   int chiplet_ = 0;
   int num_vls_ = 0;
   VlTableSide side_ = VlTableSide::down;
@@ -72,6 +83,10 @@ class ChipletVlTable {
 /// Down and up tables for every chiplet of a system.
 class SystemVlTables {
  public:
+  /// Uniform-traffic tables, equal to ChipletVlTable::build per chiplet
+  /// and side. Algorithm 2 runs once per distinct chiplet geometry (local
+  /// router and VL coordinates); congruent chiplets and the up side get
+  /// copies, each addressed to its own chiplet and side.
   static SystemVlTables build(const Topology& topo, Rng& rng,
                               double rho = 0.01);
 

@@ -154,6 +154,23 @@ TEST(Topology, RejectsChipletWithoutVls) {
   EXPECT_THROW(Topology{spec}, std::invalid_argument);
 }
 
+TEST(Topology, CapsVlsPerChiplet) {
+  // Routing keeps per-chiplet VL masks in 8 bits, so a 9th VL is rejected
+  // rather than silently dropped.
+  SystemSpec spec = make_two_chiplet_spec();
+  spec.chiplets[0].vl_positions.clear();
+  for (int y = 0; y < 3; ++y) {
+    for (int x = 0; x < 3; ++x) {
+      spec.chiplets[0].vl_positions.push_back({x, y});
+    }
+  }
+  EXPECT_THROW(Topology{spec}, std::invalid_argument);
+  spec.chiplets[0].vl_positions.pop_back();
+  const Topology topo(spec);
+  EXPECT_EQ(topo.chiplet_vls(0).size(),
+            static_cast<std::size_t>(kMaxVlsPerChiplet));
+}
+
 TEST(Topology, MeshDistanceIsManhattan) {
   const Topology topo(make_reference_spec(4));
   EXPECT_EQ(topo.mesh_distance(topo.chiplet_node_at(0, 0, 0),

@@ -1,8 +1,11 @@
 // VL-selection tests: cost model (eqs. 1-6) against the paper's Fig. 3
 // examples, optimizer optimality and cross-validation, and the
-// per-fault-scenario tables of Algorithm 2.
+// per-fault-scenario tables of Algorithm 2, pinned selection by selection.
 #include <gtest/gtest.h>
 
+#include <bit>
+
+#include "sim_results_checks.hpp"
 #include "topology/builder.hpp"
 #include "vlsel/table.hpp"
 
@@ -58,6 +61,88 @@ TEST(VlCost, RejectsMalformedSelections) {
   VlSelectionProblem p = VlSelectionProblem::uniform({{0, 0}}, {{0, 0}});
   EXPECT_THROW(selection_cost(p, {}), std::invalid_argument);
   EXPECT_THROW(selection_cost(p, {1}), std::invalid_argument);
+  // A problem is one chiplet's alive VLs, so it has at most
+  // kMaxVlsPerChiplet of them.
+  const VlSelectionProblem wide = VlSelectionProblem::uniform(
+      {{0, 0}}, std::vector<Coord>(kMaxVlsPerChiplet + 1, Coord{0, 0}));
+  EXPECT_THROW(selection_cost(wide, {0}), std::invalid_argument);
+}
+
+/// Eq. 6 summed term by term from the per-VL reference functions, in VL
+/// order: the value selection_cost must reproduce bit for bit.
+double per_term_cost(const VlSelectionProblem& p, const VlSelection& s) {
+  double cost = 0.0;
+  for (int v = 0; v < p.num_vls(); ++v) {
+    cost += p.rho * vl_distance_cost(p, s, v) + vl_load_cost(p, s, v);
+  }
+  return cost;
+}
+
+/// Literal Algorithm 2 over per_term_cost: the same odometer order and
+/// strict-improvement rule as solve_exhaustive.
+VlSelectionResult per_term_exhaustive(const VlSelectionProblem& p) {
+  const int R = p.num_routers();
+  const int V = p.num_vls();
+  VlSelection current(static_cast<std::size_t>(R), 0);
+  VlSelectionResult best;
+  best.selection = current;
+  best.cost = per_term_cost(p, current);
+  while (true) {
+    int pos = R - 1;
+    while (pos >= 0 && current[static_cast<std::size_t>(pos)] == V - 1) {
+      current[static_cast<std::size_t>(pos)] = 0;
+      --pos;
+    }
+    if (pos < 0) {
+      return best;
+    }
+    ++current[static_cast<std::size_t>(pos)];
+    const double cost = per_term_cost(p, current);
+    if (cost < best.cost) {
+      best.cost = cost;
+      best.selection = current;
+    }
+  }
+}
+
+TEST(VlCost, SelectionCostIsBitIdenticalToPerTermSum) {
+  // Random problems with R 2-9 and V 1-4, uniform (including all-zero)
+  // and non-uniform traffic, at the paper's rho and a large one. Every
+  // cost must equal the per-term sum exactly, and the exhaustive solver
+  // must pick the same selection with the same cost bits.
+  Rng gen(2022);
+  for (int trial = 0; trial < 120; ++trial) {
+    VlSelectionProblem p;
+    const int R = 2 + static_cast<int>(gen.uniform(8));
+    const int V = 1 + static_cast<int>(gen.uniform(4));
+    p.rho = trial % 2 == 0 ? 0.01 : 0.37;
+    const double uniform_rate = (trial / 2) % 3 == 0 ? 0.0 : 0.013;
+    const bool uniform = trial % 4 < 2;
+    for (int r = 0; r < R; ++r) {
+      p.routers.push_back({static_cast<int>(gen.uniform(5)),
+                           static_cast<int>(gen.uniform(5))});
+      p.traffic.push_back(uniform ? uniform_rate
+                                  : 0.001 + gen.uniform_real() * 0.3);
+    }
+    for (int v = 0; v < V; ++v) {
+      p.vls.push_back({static_cast<int>(gen.uniform(5)),
+                       static_cast<int>(gen.uniform(5))});
+    }
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    for (int k = 0; k < 16; ++k) {
+      VlSelection s(static_cast<std::size_t>(R));
+      for (int& v : s) {
+        v = static_cast<int>(gen.uniform(static_cast<std::uint64_t>(V)));
+      }
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(selection_cost(p, s)),
+                std::bit_cast<std::uint64_t>(per_term_cost(p, s)));
+    }
+    const VlSelectionResult fast = solve_exhaustive(p);
+    const VlSelectionResult reference = per_term_exhaustive(p);
+    EXPECT_EQ(fast.selection, reference.selection);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(fast.cost),
+              std::bit_cast<std::uint64_t>(reference.cost));
+  }
 }
 
 TEST(VlCost, Fig3cDistanceBasedLoadsMatchPaper) {
@@ -257,15 +342,119 @@ TEST_F(VlTableTest, RejectsForeignRouters) {
                std::invalid_argument);
 }
 
+/// Two pinwheel 4x4 chiplets (0 and 3), a 4x4 chiplet with corner VLs and
+/// a 3x3 chiplet: only chiplets 0 and 3 are congruent.
+SystemSpec make_mixed_spec() {
+  SystemSpec spec;
+  spec.name = "mixed-congruence";
+  spec.interposer_width = 15;
+  spec.interposer_height = 4;
+  const std::vector<Coord> pinwheel = {{1, 0}, {3, 1}, {2, 3}, {0, 2}};
+  spec.chiplets = {
+      {4, 4, {0, 0}, pinwheel},
+      {4, 4, {4, 0}, {{0, 0}, {3, 0}, {3, 3}, {0, 3}}},
+      {3, 3, {8, 0}, {{0, 0}, {2, 0}, {1, 2}, {0, 1}}},
+      {4, 4, {11, 0}, pinwheel},
+  };
+  spec.dram_positions = {{0, 3}, {14, 3}};
+  return spec;
+}
+
 TEST_F(VlTableTest, SystemTablesCoverAllChiplets) {
-  Rng rng(7);
-  const SystemVlTables tables = SystemVlTables::build(topo_, rng);
-  for (int c = 0; c < topo_.num_chiplets(); ++c) {
-    EXPECT_EQ(tables.down(c).chiplet(), c);
-    EXPECT_EQ(tables.up(c).chiplet(), c);
-    EXPECT_EQ(tables.down(c).side(), VlTableSide::down);
-    EXPECT_EQ(tables.up(c).side(), VlTableSide::up);
-    EXPECT_EQ(tables.down(c).faulty_entry_count(), 14);
+  // Every chiplet's down and up tables must equal a table built for that
+  // chiplet and side alone, whichever chiplet's solve they share, and
+  // answer only for that chiplet's routers.
+  const Topology mixed(make_mixed_spec());
+  const Topology* const topos[] = {&topo_, &mixed};
+  for (const Topology* topo : topos) {
+    Rng rng(7);
+    const SystemVlTables tables = SystemVlTables::build(*topo, rng);
+    for (int c = 0; c < topo->num_chiplets(); ++c) {
+      SCOPED_TRACE(topo->spec().name + " chiplet " + std::to_string(c));
+      for (const VlTableSide side : {VlTableSide::down, VlTableSide::up}) {
+        const ChipletVlTable& table =
+            side == VlTableSide::down ? tables.down(c) : tables.up(c);
+        const ChipletVlTable alone =
+            ChipletVlTable::build(*topo, c, side, rng);
+        EXPECT_EQ(table.chiplet(), c);
+        EXPECT_EQ(table.side(), side);
+        EXPECT_EQ(table.num_vls(), alone.num_vls());
+        EXPECT_EQ(table.faulty_entry_count(), (1 << table.num_vls()) - 2);
+        for (std::uint32_t mask = 0; mask < (1u << alone.num_vls());
+             ++mask) {
+          ASSERT_EQ(table.valid_mask(mask), alone.valid_mask(mask));
+          if (!alone.valid_mask(mask)) {
+            continue;
+          }
+          for (NodeId r : topo->chiplet_nodes(c)) {
+            EXPECT_EQ(table.selected_vl(mask, r), alone.selected_vl(mask, r))
+                << "mask " << mask << " router " << r;
+          }
+        }
+        for (int other = 0; other < topo->num_chiplets(); ++other) {
+          if (other != c) {
+            EXPECT_THROW(
+                table.selected_vl(0, topo->chiplet_nodes(other).front()),
+                std::invalid_argument)
+                << "answers for chiplet " << other;
+          }
+        }
+      }
+    }
+  }
+}
+
+/// FNV-1a over a system's tables: per chiplet and side, the table's
+/// chiplet, side and faulty-scenario count, then every valid mask with
+/// the selection of each of the chiplet's routers.
+std::uint64_t tables_digest(const Topology& topo,
+                            const SystemVlTables& tables) {
+  Digest d;
+  for (int c = 0; c < topo.num_chiplets(); ++c) {
+    for (const ChipletVlTable* table : {&tables.down(c), &tables.up(c)}) {
+      d.mix(static_cast<std::uint64_t>(table->chiplet()));
+      d.mix(static_cast<std::uint64_t>(table->side()));
+      d.mix(static_cast<std::uint64_t>(table->faulty_entry_count()));
+      for (std::uint32_t mask = 0; mask < (1u << table->num_vls()); ++mask) {
+        if (!table->valid_mask(mask)) {
+          continue;
+        }
+        d.mix(std::uint64_t{mask});
+        for (NodeId r : topo.chiplet_nodes(c)) {
+          d.mix(static_cast<std::uint64_t>(table->selected_vl(mask, r)));
+        }
+      }
+    }
+  }
+  return d.value();
+}
+
+TEST_F(VlTableTest, SelectionsArePinned) {
+  // Every stored selection of five systems, pinned: the reference
+  // systems, the heterogeneous pair, a grid whose 9-router chiplets solve
+  // every mask exhaustively, and one whose 20-router chiplets put 2^20
+  // states in each two-alive-VL mask. A failure means Algorithm 2 now
+  // picks different VLs, so DeFT's table-strategy runs route differently.
+  struct Pin {
+    SystemSpec spec;
+    std::uint64_t digest;
+  };
+  const Pin pins[] = {
+      {make_reference_spec(4), 0x083045746ef26a03ULL},
+      {make_reference_spec(6), 0x688ce8488656dfc3ULL},
+      {make_two_chiplet_spec(), 0xdfc7ab95a4ceada3ULL},
+      {make_grid_spec(2, 2, 3, 3), 0x19f093f1c26873c3ULL},
+      {make_grid_spec(2, 1, 5, 4), 0x717b981e46800943ULL},
+  };
+  for (const Pin& pin : pins) {
+    const Topology topo(pin.spec);
+    SCOPED_TRACE(topo.spec().name + " " +
+                 std::to_string(topo.spec().interposer_width) + "x" +
+                 std::to_string(topo.spec().interposer_height));
+    Rng rng(7);
+    const std::uint64_t digest =
+        tables_digest(topo, SystemVlTables::build(topo, rng));
+    EXPECT_EQ(digest, pin.digest) << "0x" << std::hex << digest;
   }
 }
 
