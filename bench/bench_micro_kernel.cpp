@@ -188,13 +188,14 @@ BENCHMARK_CAPTURE(BM_ReachabilityPerPattern, deft, Algorithm::deft);
 BENCHMARK_CAPTURE(BM_ReachabilityPerPattern, mtr, Algorithm::mtr);
 
 void BM_MtrPlanSynthesis(benchmark::State& state) {
-  const SystemSpec spec = make_reference_spec(4);
-  const Topology topo(spec);
+  // The turn-restriction synthesis of a reference system (Arg: chiplets).
+  // Ref-4 converges first-fit; ref-6 wedges and takes the seeded restarts.
+  const Topology topo(make_reference_spec(static_cast<int>(state.range(0))));
   for (auto _ : state) {
     benchmark::DoNotOptimize(MtrPlan(topo));
   }
 }
-BENCHMARK(BM_MtrPlanSynthesis)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_MtrPlanSynthesis)->Arg(4)->Arg(6)->Unit(benchmark::kMillisecond);
 
 // --------------------------------------------------------------------------
 // Perf-matrix harness (--perf-json): the tracked end-to-end numbers.

@@ -1,6 +1,7 @@
 #include "routing/mtr_routing.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <deque>
 
@@ -28,9 +29,47 @@ bool initial_turn_allowed(const Channel& in, const Channel& out) {
   return true;
 }
 
-std::uint64_t turn_key(ChannelId in, ChannelId out) {
-  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(in)) << 32) |
-         static_cast<std::uint64_t>(static_cast<std::uint32_t>(out));
+/// Turn slot of the turn from channel `in` into output port `out` of the
+/// router `in` enters: one byte per (channel, port) in the restriction set.
+std::size_t turn_slot(ChannelId in, Port out) {
+  return static_cast<std::size_t>(in) * kNumPorts +
+         static_cast<std::size_t>(port_index(out));
+}
+
+/// The pre-synthesis channel turn graph: channel -> every channel
+/// initial_turn_allowed lets it turn into, in output-port order.
+std::vector<std::vector<int>> unrestricted_turns(const Topology& topo) {
+  std::vector<std::vector<int>> adj(
+      static_cast<std::size_t>(topo.num_channels()));
+  for (ChannelId in = 0; in < topo.num_channels(); ++in) {
+    const Channel& cin = topo.channel(in);
+    for (int p = 0; p < kNumPorts; ++p) {
+      const ChannelId out = topo.out_channel(cin.dst, static_cast<Port>(p));
+      if (out != kInvalidChannel &&
+          initial_turn_allowed(cin, topo.channel(out))) {
+        adj[static_cast<std::size_t>(in)].push_back(out);
+      }
+    }
+  }
+  return adj;
+}
+
+std::size_t words_for(std::size_t bits) { return (bits + 63) / 64; }
+
+void or_into(std::uint64_t* dst, const std::uint64_t* src, std::size_t words) {
+  for (std::size_t w = 0; w < words; ++w) {
+    dst[w] |= src[w];
+  }
+}
+
+/// Calls f(i) for every set bit i of a `words`-word bitset, in order.
+template <typename F>
+void for_each_bit(const std::uint64_t* bits, std::size_t words, F&& f) {
+  for (std::size_t w = 0; w < words; ++w) {
+    for (std::uint64_t b = bits[w]; b != 0; b &= b - 1) {
+      f(w * 64 + static_cast<std::size_t>(std::countr_zero(b)));
+    }
+  }
 }
 
 /// Shared credit-class winner tables: kWinnerK[c0][c1](..) is the index
@@ -83,13 +122,366 @@ int credit_class(const RouterView& view, std::uint8_t port) {
 
 }  // namespace
 
+/// The synthesis' view of MTR's inter-chiplet routes, which cross exactly
+/// once: source mesh -> one down VL -> interposer -> one up VL ->
+/// destination mesh. Each leg is explored on a graph that forbids any
+/// other vertical channel, so a combination recorded here never silently
+/// depends on a third vertical channel: combo-alive implies deliverable
+/// under the fault pattern. The legs decide both connectivity during
+/// synthesis and the fault-reachability combos.
+///
+/// A leg graph holds, once and in CSR form, every line-graph edge its leg
+/// rule and the initial turn rule allow; each edge keeps its turn slot
+/// (-1 for injection and ejection edges), so a restriction costs one byte
+/// test. Every leg graph is acyclic - XY holds inside each mesh, and
+/// within a leg a vertical channel is only ever a source or a sink - so
+/// the targets reachable from every line node follow from one pass in
+/// reverse topological order that ORs the successors' bitsets. The
+/// targets are the down and up VLs a source reaches (source leg, one bit
+/// per VL channel id), the up VLs and interposer endpoints a descent
+/// reaches (interposer leg), and the endpoints an ascent reaches
+/// (destination leg).
+class MtrPlan::Legs {
+ public:
+  explicit Legs(const MtrPlan& plan);
+
+  /// Recomputes every leg under the plan's restriction set.
+  void propagate_all();
+
+  /// Called with turn `slot` just forbidden: re-runs the legs holding it
+  /// and keeps them when every different-mesh endpoint pair still has a
+  /// single-crossing route; otherwise restores their previous bitsets and
+  /// returns false.
+  bool admits(std::size_t slot);
+
+  /// Endpoint pair -> usable vertical combinations under the current
+  /// restriction set, laid out as MtrPlan::combos_.
+  std::vector<std::uint64_t> pair_combos() const;
+
+ private:
+  enum Leg { kSource, kInterposerLeg, kDestination, kNumLegs };
+
+  struct Graph {
+    std::vector<int> offsets;  ///< CSR: per line node, plus one
+    std::vector<int> succ;
+    std::vector<int> slot;     ///< per edge: turn slot, or -1
+    std::vector<int> target;   ///< per line node: its target bit, or -1
+    std::vector<int> order;    ///< reverse topological order, sinks first
+    std::size_t words = 0;     ///< bitset words per line node
+    std::vector<std::uint64_t> reach;  ///< targets reachable per line node
+    std::vector<std::uint64_t> saved;  ///< reach before the pending turn
+
+    const std::uint64_t* row(int node) const {
+      return reach.data() + static_cast<std::size_t>(node) * words;
+    }
+    void propagate(const std::vector<std::uint8_t>& forbidden);
+  };
+
+  template <typename EdgeOk, typename TargetOf>
+  void build(Leg leg, EdgeOk edge_ok, TargetOf target_of, std::size_t words);
+  bool connected();
+
+  /// The VL channels endpoint index `s`'s source leg reaches.
+  const std::uint64_t* source_row(std::size_t s) const {
+    return graphs_[kSource].row(topo_.num_channels() + topo_.endpoints()[s]);
+  }
+
+  const MtrPlan& plan_;
+  const Topology& topo_;
+  std::size_t ep_words_;  ///< words of an endpoint bitset
+  std::size_t vl_words_;  ///< words of a VL bitset
+  /// Per endpoint index: its mesh, chiplet + 1 (0 is the interposer).
+  std::vector<int> mesh_;
+  /// Per mesh: the endpoints outside it, which its sources must reach.
+  std::vector<std::uint64_t> required_;
+  /// Per turn slot: bit `leg` set when that leg's graph holds the turn.
+  std::vector<std::uint8_t> slot_legs_;
+  std::array<Graph, kNumLegs> graphs_;
+  /// connected() scratch: per VL channel, the endpoints a source leg
+  /// reaching it delivers to; and one source's union of those.
+  std::vector<std::uint64_t> delivery_;
+  std::vector<std::uint64_t> reach_;
+};
+
+MtrPlan::Legs::Legs(const MtrPlan& plan)
+    : plan_(plan),
+      topo_(*plan.topo_),
+      ep_words_(words_for(plan.topo_->endpoints().size())),
+      vl_words_(words_for(static_cast<std::size_t>(plan.topo_->num_vls()))),
+      slot_legs_(plan.forbidden_.size(), 0),
+      delivery_(static_cast<std::size_t>(plan.topo_->num_vl_channels()) *
+                    ep_words_,
+                0),
+      reach_(ep_words_, 0) {
+  for (NodeId n : topo_.endpoints()) {
+    mesh_.push_back(topo_.node(n).chiplet + 1);
+  }
+  const std::size_t meshes = static_cast<std::size_t>(topo_.num_chiplets()) + 1;
+  required_.assign(meshes * ep_words_, 0);
+  for (std::size_t m = 0; m < meshes; ++m) {
+    for (std::size_t e = 0; e < mesh_.size(); ++e) {
+      if (static_cast<std::size_t>(mesh_[e]) != m) {
+        required_[m * ep_words_ + e / 64] |= std::uint64_t{1} << (e % 64);
+      }
+    }
+  }
+
+  const int channels = topo_.num_channels();
+  const int ejections = channels + topo_.num_nodes();  // first ejection node
+  const auto endpoint_of = [&](int l) {
+    return l >= ejections ? plan.endpoint_index(l - ejections) : -1;
+  };
+  // Source leg: walks may not continue past any vertical channel (the
+  // first vertical reached is the descent, or the ascent for interposer
+  // sources).
+  build(
+      kSource, [](const Channel& in, const Channel&) { return !is_vertical(in); },
+      [&](int l) {
+        return l < channels && is_vertical(topo_.channel(l))
+                   ? topo_.channel(l).vl_channel
+                   : -1;
+      },
+      words_for(static_cast<std::size_t>(topo_.num_vl_channels())));
+  // Interposer leg: down -> interposer horizontals -> up only. Its bitsets
+  // hold the interposer endpoints, then (word-aligned) the up VLs.
+  const auto interposer_horizontal = [this](const Channel& c) {
+    return is_horizontal(c.src_port) &&
+           topo_.node(c.src).chiplet == kInterposer;
+  };
+  build(
+      kInterposerLeg,
+      [&](const Channel& in, const Channel& out) {
+        return (in.src_port == Port::down || interposer_horizontal(in)) &&
+               (interposer_horizontal(out) || out.src_port == Port::up);
+      },
+      [&](int l) {
+        if (l < channels) {
+          const Channel& c = topo_.channel(l);
+          // An up channel carries VL channel 2 * vl + 1.
+          return c.src_port == Port::up
+                     ? static_cast<int>(ep_words_ * 64) + c.vl_channel / 2
+                     : -1;
+        }
+        const int e = endpoint_of(l);
+        return e >= 0 && mesh_[static_cast<std::size_t>(e)] == 0 ? e : -1;
+      },
+      ep_words_ + vl_words_);
+  // Destination leg: up -> destination-mesh horizontals -> ejection.
+  build(
+      kDestination,
+      [](const Channel& in, const Channel& out) {
+        return !is_vertical(out) &&
+               (in.src_port == Port::up || is_horizontal(in.src_port));
+      },
+      endpoint_of, ep_words_);
+}
+
+template <typename EdgeOk, typename TargetOf>
+void MtrPlan::Legs::build(Leg leg, EdgeOk edge_ok, TargetOf target_of,
+                          std::size_t words) {
+  Graph& g = graphs_[leg];
+  const int channels = topo_.num_channels();
+  const int nodes = topo_.num_nodes();
+  const int size = channels + 2 * nodes;
+  g.offsets.assign(1, 0);
+  for (ChannelId in = 0; in < channels; ++in) {
+    const Channel& cin = topo_.channel(in);
+    for (int p = 0; p < kNumPorts; ++p) {
+      const ChannelId out = topo_.out_channel(cin.dst, static_cast<Port>(p));
+      if (out == kInvalidChannel) {
+        continue;
+      }
+      const Channel& cout = topo_.channel(out);
+      if (edge_ok(cin, cout) && initial_turn_allowed(cin, cout)) {
+        const std::size_t slot = turn_slot(in, cout.src_port);
+        g.succ.push_back(out);
+        g.slot.push_back(static_cast<int>(slot));
+        slot_legs_[slot] |= static_cast<std::uint8_t>(1u << leg);
+      }
+    }
+    g.succ.push_back(channels + nodes + cin.dst);  // ejection
+    g.slot.push_back(-1);
+    g.offsets.push_back(static_cast<int>(g.succ.size()));
+  }
+  for (NodeId n = 0; n < nodes; ++n) {  // injection
+    for (int p = 0; p < kNumPorts; ++p) {
+      const ChannelId out = topo_.out_channel(n, static_cast<Port>(p));
+      if (out != kInvalidChannel) {
+        g.succ.push_back(out);
+        g.slot.push_back(-1);
+      }
+    }
+    g.offsets.push_back(static_cast<int>(g.succ.size()));
+  }
+  // Ejection nodes have no successors.
+  g.offsets.resize(static_cast<std::size_t>(size) + 1, g.offsets.back());
+
+  g.target.resize(static_cast<std::size_t>(size));
+  std::vector<int> indegree(static_cast<std::size_t>(size), 0);
+  for (int l = 0; l < size; ++l) {
+    g.target[static_cast<std::size_t>(l)] = target_of(l);
+  }
+  for (int to : g.succ) {
+    ++indegree[static_cast<std::size_t>(to)];
+  }
+  for (int l = 0; l < size; ++l) {
+    if (indegree[static_cast<std::size_t>(l)] == 0) {
+      g.order.push_back(l);
+    }
+  }
+  for (std::size_t i = 0; i < g.order.size(); ++i) {
+    const auto l = static_cast<std::size_t>(g.order[i]);
+    for (int e = g.offsets[l]; e < g.offsets[l + 1]; ++e) {
+      const int to = g.succ[static_cast<std::size_t>(e)];
+      if (--indegree[static_cast<std::size_t>(to)] == 0) {
+        g.order.push_back(to);
+      }
+    }
+  }
+  check(g.order.size() == static_cast<std::size_t>(size),
+        "MtrPlan: a leg graph has a cycle");
+  std::reverse(g.order.begin(), g.order.end());
+  g.words = words;
+  g.reach.assign(static_cast<std::size_t>(size) * words, 0);
+  g.saved = g.reach;
+}
+
+void MtrPlan::Legs::Graph::propagate(
+    const std::vector<std::uint8_t>& forbidden) {
+  for (int node : order) {
+    const auto l = static_cast<std::size_t>(node);
+    std::uint64_t* bits = reach.data() + l * words;
+    std::fill_n(bits, words, 0);
+    if (const int t = target[l]; t >= 0) {
+      bits[t / 64] |= std::uint64_t{1} << (t % 64);
+    }
+    for (int e = offsets[l]; e < offsets[l + 1]; ++e) {
+      const int s = slot[static_cast<std::size_t>(e)];
+      if (s < 0 || forbidden[static_cast<std::size_t>(s)] == 0) {
+        or_into(bits, row(succ[static_cast<std::size_t>(e)]), words);
+      }
+    }
+  }
+}
+
+void MtrPlan::Legs::propagate_all() {
+  for (Graph& g : graphs_) {
+    g.propagate(plan_.forbidden_);
+  }
+}
+
+bool MtrPlan::Legs::admits(std::size_t slot) {
+  const unsigned legs = slot_legs_[slot];
+  for (int leg = 0; leg < kNumLegs; ++leg) {
+    if ((legs >> leg) & 1u) {
+      Graph& g = graphs_[static_cast<std::size_t>(leg)];
+      g.saved.swap(g.reach);
+      g.propagate(plan_.forbidden_);
+    }
+  }
+  if (connected()) {
+    return true;
+  }
+  for (int leg = 0; leg < kNumLegs; ++leg) {
+    if ((legs >> leg) & 1u) {
+      Graph& g = graphs_[static_cast<std::size_t>(leg)];
+      g.reach.swap(g.saved);
+    }
+  }
+  return false;
+}
+
+bool MtrPlan::Legs::connected() {
+  // Every different-mesh endpoint pair must keep at least one
+  // single-crossing route; same-mesh pairs ride plain (unrestricted) XY.
+  // A source reaching an ascent delivers to that ascent's destination leg;
+  // reaching a descent, to its interposer leg's endpoints and to the
+  // destination leg of every ascent that leg reaches.
+  const Graph& mid = graphs_[kInterposerLeg];
+  const Graph& dst = graphs_[kDestination];
+  for (const VerticalLink& vl : topo_.vls()) {
+    std::uint64_t* down =
+        delivery_.data() +
+        static_cast<std::size_t>(vl.down_vl_channel()) * ep_words_;
+    const std::uint64_t* descent = mid.row(vl.down_channel);
+    std::copy_n(descent, ep_words_, down);
+    for_each_bit(descent + ep_words_, vl_words_, [&](std::size_t up) {
+      or_into(down, dst.row(topo_.vl(static_cast<VlId>(up)).up_channel),
+              ep_words_);
+    });
+    std::copy_n(dst.row(vl.up_channel), ep_words_,
+                delivery_.data() +
+                    static_cast<std::size_t>(vl.up_vl_channel()) * ep_words_);
+  }
+  for (std::size_t s = 0; s < mesh_.size(); ++s) {
+    std::fill(reach_.begin(), reach_.end(), 0);
+    for_each_bit(source_row(s), graphs_[kSource].words, [&](std::size_t vc) {
+      or_into(reach_.data(), delivery_.data() + vc * ep_words_, ep_words_);
+    });
+    const std::uint64_t* need =
+        required_.data() + static_cast<std::size_t>(mesh_[s]) * ep_words_;
+    for (std::size_t w = 0; w < ep_words_; ++w) {
+      if ((need[w] & ~reach_[w]) != 0) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+std::vector<std::uint64_t> MtrPlan::Legs::pair_combos() const {
+  // Reachability semantics for Fig. 7: a pair survives a fault pattern
+  // when MTR, keeping its design-time turn restrictions but aware of the
+  // faults, can still deliver through some single-crossing route whose
+  // two vertical channels are alive. The synthesis guaranteed at least
+  // one combination per pair fault-free (connected()).
+  const Graph& mid = graphs_[kInterposerLeg];
+  const Graph& dst = graphs_[kDestination];
+  const std::size_t num_ep = mesh_.size();
+  std::vector<std::uint64_t> combos(num_ep * num_ep, 0);
+  for (std::size_t s = 0; s < num_ep; ++s) {
+    std::uint64_t* row = combos.data() + s * num_ep;
+    // ORs `combo` into every endpoint of `targets` outside the source's
+    // mesh.
+    const auto add = [&](const std::uint64_t* targets, std::uint64_t combo) {
+      for_each_bit(targets, ep_words_, [&](std::size_t d) {
+        if (mesh_[d] != mesh_[s]) {
+          row[d] |= combo;
+        }
+      });
+    };
+    for_each_bit(source_row(s), graphs_[kSource].words, [&](std::size_t vc) {
+      const VerticalLink& vl = topo_.vl(static_cast<VlId>(vc / 2));
+      if (vc % 2 == 1) {  // interposer source -> ascent -> chiplet
+        add(dst.row(vl.up_channel), std::uint64_t{1} << vl.index_in_chiplet);
+        return;
+      }
+      const int dn = vl.index_in_chiplet;
+      const std::uint64_t* descent = mid.row(vl.down_channel);
+      add(descent, std::uint64_t{1} << dn);  // -> interposer endpoint
+      for_each_bit(descent + ep_words_, vl_words_, [&](std::size_t u) {
+        const VerticalLink& up = topo_.vl(static_cast<VlId>(u));
+        add(dst.row(up.up_channel),
+            std::uint64_t{1} << (8 * dn + up.index_in_chiplet));
+      });
+    });
+  }
+  return combos;
+}
+
 MtrPlan::MtrPlan(const Topology& topo) : topo_(&topo) {
   endpoint_index_.assign(static_cast<std::size_t>(topo.num_nodes()), -1);
   for (std::size_t i = 0; i < topo.endpoints().size(); ++i) {
     endpoint_index_[static_cast<std::size_t>(topo.endpoints()[i])] =
         static_cast<int>(i);
   }
-  synthesize_restrictions();
+  forbidden_.assign(static_cast<std::size_t>(topo.num_channels()) * kNumPorts,
+                    0);
+  {
+    Legs legs(*this);
+    synthesize_restrictions(legs);
+    combos_ = legs.pair_combos();
+  }
   line_graph_ = std::make_unique<LineGraph>(
       topo, [this](const Topology&, const Channel& in, const Channel& out) {
         return turn_allowed(in.id, out.id);
@@ -97,41 +489,20 @@ MtrPlan::MtrPlan(const Topology& topo) : topo_(&topo) {
   check(connectivity_preserved(),
         "MtrPlan: synthesis broke endpoint connectivity");
   build_route_tables();
-  build_pair_combos();
 }
 
 bool MtrPlan::turn_allowed(ChannelId in, ChannelId out) const {
   const Channel& cin = topo_->channel(in);
   const Channel& cout = topo_->channel(out);
-  if (!initial_turn_allowed(cin, cout)) {
-    return false;
-  }
-  return forbidden_.find(turn_key(in, out)) == forbidden_.end();
-}
-
-std::vector<std::vector<int>> MtrPlan::channel_turn_adjacency() const {
-  std::vector<std::vector<int>> adj(
-      static_cast<std::size_t>(topo_->num_channels()));
-  for (ChannelId in = 0; in < topo_->num_channels(); ++in) {
-    const Channel& cin = topo_->channel(in);
-    for (int p = 0; p < kNumPorts; ++p) {
-      const ChannelId out =
-          topo_->out_channel(cin.dst, static_cast<Port>(p));
-      if (out != kInvalidChannel && turn_allowed(in, out)) {
-        adj[static_cast<std::size_t>(in)].push_back(out);
-      }
-    }
-  }
-  return adj;
+  require(cout.src == cin.dst, "MtrPlan::turn_allowed: channels not adjacent");
+  return initial_turn_allowed(cin, cout) &&
+         forbidden_[turn_slot(in, cout.src_port)] == 0;
 }
 
 bool MtrPlan::connectivity_preserved() const {
   // Every endpoint must reach every other endpoint inside the allowed-turn
   // graph. One BFS per source endpoint over the line graph.
-  const LineGraph graph(
-      *topo_, [this](const Topology&, const Channel& in, const Channel& out) {
-        return turn_allowed(in.id, out.id);
-      });
+  const LineGraph& graph = *line_graph_;
   std::vector<char> seen;
   std::deque<int> queue;
   for (NodeId s : topo_->endpoints()) {
@@ -160,15 +531,22 @@ bool MtrPlan::connectivity_preserved() const {
   return true;
 }
 
-bool MtrPlan::try_synthesize(Rng* shuffle) {
+bool MtrPlan::try_synthesize(Legs& legs,
+                             const std::vector<std::vector<int>>& unrestricted,
+                             Rng* shuffle) {
   // Greedy cycle breaking: while the channel turn graph has a cycle, forbid
   // one restrictable turn on it whose removal keeps every endpoint pair
   // connected. Cycles cannot live inside a single mesh (XY is acyclic), so
   // every cycle crosses a vertical channel and offers restrictable turns.
-  forbidden_.clear();
+  // The turn graph drops one edge per restriction, keeping successor
+  // order, so is_acyclic sees what a rebuild from turn_allowed would.
+  std::fill(forbidden_.begin(), forbidden_.end(), 0);
+  restricted_turns_ = 0;
+  legs.propagate_all();
+  std::vector<std::vector<int>> turns = unrestricted;
   while (true) {
     std::vector<int> cycle;
-    if (is_acyclic(channel_turn_adjacency(), &cycle)) {
+    if (is_acyclic(turns, &cycle)) {
       return true;
     }
     std::vector<std::pair<ChannelId, ChannelId>> candidates;
@@ -186,12 +564,16 @@ bool MtrPlan::try_synthesize(Rng* shuffle) {
     }
     bool restricted = false;
     for (const auto& [a, b] : candidates) {
-      forbidden_.insert(turn_key(a, b));
-      if (leg_connectivity_ok(compute_leg_tables())) {
+      const std::size_t slot = turn_slot(a, topo_->channel(b).src_port);
+      forbidden_[slot] = 1;
+      if (legs.admits(slot)) {
+        std::vector<int>& succ = turns[static_cast<std::size_t>(a)];
+        succ.erase(std::find(succ.begin(), succ.end(), b));
+        ++restricted_turns_;
         restricted = true;
         break;
       }
-      forbidden_.erase(turn_key(a, b));
+      forbidden_[slot] = 0;
     }
     if (!restricted) {
       return false;  // greedy wedged itself; caller restarts with a shuffle
@@ -199,17 +581,18 @@ bool MtrPlan::try_synthesize(Rng* shuffle) {
   }
 }
 
-void MtrPlan::synthesize_restrictions() {
+void MtrPlan::synthesize_restrictions(Legs& legs) {
   // First-fit order is deterministic and usually converges; when it wedges
   // (every restrictable turn on some cycle has become load-bearing),
   // restart with seeded random candidate orders. The seed sequence is
   // fixed, so the resulting plan is still deterministic per topology.
-  if (try_synthesize(nullptr)) {
+  const std::vector<std::vector<int>> unrestricted = unrestricted_turns(*topo_);
+  if (try_synthesize(legs, unrestricted, nullptr)) {
     return;
   }
   for (std::uint64_t seed = 1; seed <= 64; ++seed) {
     Rng rng(seed);
-    if (try_synthesize(&rng)) {
+    if (try_synthesize(legs, unrestricted, &rng)) {
       return;
     }
   }
@@ -257,231 +640,6 @@ std::uint16_t MtrPlan::distance(int line_node, NodeId dst) const {
   const int d = endpoint_index(dst);
   require(d >= 0, "MtrPlan::distance: dst is not an endpoint");
   return dist_[static_cast<std::size_t>(d)][static_cast<std::size_t>(line_node)];
-}
-
-MtrPlan::LegTables MtrPlan::compute_leg_tables() const {
-  // Inter-chiplet MTR routes cross exactly once: source mesh -> one down
-  // VL -> interposer -> one up VL -> destination mesh. Each leg is
-  // explored on a graph that forbids any other vertical channel, so a
-  // combination recorded here never silently depends on a third vertical
-  // channel: combo-alive implies deliverable under the fault pattern.
-  const auto leg_graph = [this](auto edge_ok) {
-    return LineGraph(*topo_,
-                     [this, edge_ok](const Topology&, const Channel& in,
-                                     const Channel& out) {
-                       return edge_ok(in, out) && turn_allowed(in.id, out.id);
-                     });
-  };
-  // Source leg: walks may not continue past any vertical channel (the
-  // first vertical reached is the descent, or the ascent for interposer
-  // sources).
-  const LineGraph g_src = leg_graph(
-      [](const Channel& in, const Channel&) { return !is_vertical(in); });
-  // Interposer leg: down -> interposer horizontals -> up only.
-  const LineGraph g_mid = leg_graph([this](const Channel& in,
-                                           const Channel& out) {
-    const bool in_ih = is_horizontal(in.src_port) &&
-                       topo_->node(in.src).chiplet == kInterposer;
-    const bool out_ih = is_horizontal(out.src_port) &&
-                        topo_->node(out.src).chiplet == kInterposer;
-    if (in.src_port == Port::down) {
-      return out_ih || out.src_port == Port::up;
-    }
-    return in_ih && (out_ih || out.src_port == Port::up);
-  });
-  // Destination leg: up -> destination-mesh horizontals -> ejection.
-  const LineGraph g_dst = leg_graph([](const Channel& in, const Channel& out) {
-    return !is_vertical(out) &&
-           (in.src_port == Port::up || is_horizontal(in.src_port));
-  });
-
-  const std::size_t num_ep = topo_->endpoints().size();
-  const std::size_t num_vls = static_cast<std::size_t>(topo_->num_vls());
-  LegTables legs;
-  legs.src_downs.assign(num_ep, 0);
-  legs.src_ups.assign(num_ep, 0);
-  legs.mid_ups.assign(num_vls, 0);
-  legs.mid_ej.assign(num_vls, std::vector<char>(num_ep, 0));
-  legs.dst_ej.assign(num_vls, std::vector<char>(num_ep, 0));
-
-  std::vector<char> seen;
-  std::deque<int> queue;
-  const auto bfs = [&](const LineGraph& g, int start, auto&& on_node) {
-    seen.assign(static_cast<std::size_t>(g.size()), 0);
-    queue.clear();
-    queue.push_back(start);
-    seen[static_cast<std::size_t>(start)] = 1;
-    while (!queue.empty()) {
-      const int cur = queue.front();
-      queue.pop_front();
-      on_node(cur);
-      for (int next : g.successors(cur)) {
-        if (!seen[static_cast<std::size_t>(next)]) {
-          seen[static_cast<std::size_t>(next)] = 1;
-          queue.push_back(next);
-        }
-      }
-    }
-  };
-
-  // Channel -> VL lookup for classification during the walks.
-  std::vector<VlId> down_vl(static_cast<std::size_t>(topo_->num_channels()),
-                            kInvalidVl);
-  std::vector<VlId> up_vl(static_cast<std::size_t>(topo_->num_channels()),
-                          kInvalidVl);
-  for (const VerticalLink& vl : topo_->vls()) {
-    down_vl[static_cast<std::size_t>(vl.down_channel)] = vl.id;
-    up_vl[static_cast<std::size_t>(vl.up_channel)] = vl.id;
-  }
-  // Ejection line node -> endpoint index (same id layout in all graphs).
-  std::vector<int> ej_endpoint(static_cast<std::size_t>(g_src.size()), -1);
-  for (std::size_t e = 0; e < num_ep; ++e) {
-    ej_endpoint[static_cast<std::size_t>(
-        g_src.ejection_node(topo_->endpoints()[e]))] = static_cast<int>(e);
-  }
-
-  for (std::size_t e = 0; e < num_ep; ++e) {
-    bfs(g_src, g_src.injection_node(topo_->endpoints()[e]), [&](int cur) {
-      if (!g_src.is_channel(cur)) {
-        return;
-      }
-      if (down_vl[static_cast<std::size_t>(cur)] != kInvalidVl) {
-        legs.src_downs[e] |= std::uint64_t{1}
-                             << down_vl[static_cast<std::size_t>(cur)];
-      }
-      if (up_vl[static_cast<std::size_t>(cur)] != kInvalidVl) {
-        legs.src_ups[e] |= std::uint64_t{1}
-                           << up_vl[static_cast<std::size_t>(cur)];
-      }
-    });
-  }
-  for (const VerticalLink& vl : topo_->vls()) {
-    bfs(g_mid, vl.down_channel, [&](int cur) {
-      if (g_mid.is_channel(cur)) {
-        if (up_vl[static_cast<std::size_t>(cur)] != kInvalidVl) {
-          legs.mid_ups[static_cast<std::size_t>(vl.id)] |=
-              std::uint64_t{1} << up_vl[static_cast<std::size_t>(cur)];
-        }
-      } else if (ej_endpoint[static_cast<std::size_t>(cur)] >= 0) {
-        legs.mid_ej[static_cast<std::size_t>(vl.id)][static_cast<std::size_t>(
-            ej_endpoint[static_cast<std::size_t>(cur)])] = 1;
-      }
-    });
-    bfs(g_dst, vl.up_channel, [&](int cur) {
-      if (!g_dst.is_channel(cur) &&
-          ej_endpoint[static_cast<std::size_t>(cur)] >= 0) {
-        legs.dst_ej[static_cast<std::size_t>(vl.id)][static_cast<std::size_t>(
-            ej_endpoint[static_cast<std::size_t>(cur)])] = 1;
-      }
-    });
-  }
-  return legs;
-}
-
-bool MtrPlan::leg_connectivity_ok(const LegTables& legs) const {
-  // Every different-mesh endpoint pair must keep at least one
-  // single-crossing route; same-mesh pairs ride plain (unrestricted) XY.
-  const std::size_t num_ep = topo_->endpoints().size();
-  for (std::size_t s = 0; s < num_ep; ++s) {
-    const int src_chiplet = topo_->node(topo_->endpoints()[s]).chiplet;
-    for (std::size_t d = 0; d < num_ep; ++d) {
-      const int dst_chiplet = topo_->node(topo_->endpoints()[d]).chiplet;
-      if (s == d || src_chiplet == dst_chiplet) {
-        continue;
-      }
-      bool connected = false;
-      if (src_chiplet != kInterposer && dst_chiplet != kInterposer) {
-        for (VlId dn : topo_->chiplet_vls(src_chiplet)) {
-          if ((legs.src_downs[s] & (std::uint64_t{1} << dn)) == 0) {
-            continue;
-          }
-          for (VlId up : topo_->chiplet_vls(dst_chiplet)) {
-            if ((legs.mid_ups[static_cast<std::size_t>(dn)] &
-                 (std::uint64_t{1} << up)) != 0 &&
-                legs.dst_ej[static_cast<std::size_t>(up)][d] != 0) {
-              connected = true;
-              break;
-            }
-          }
-          if (connected) {
-            break;
-          }
-        }
-      } else if (dst_chiplet == kInterposer) {
-        for (VlId dn : topo_->chiplet_vls(src_chiplet)) {
-          if ((legs.src_downs[s] & (std::uint64_t{1} << dn)) != 0 &&
-              legs.mid_ej[static_cast<std::size_t>(dn)][d] != 0) {
-            connected = true;
-            break;
-          }
-        }
-      } else {
-        for (VlId up : topo_->chiplet_vls(dst_chiplet)) {
-          if ((legs.src_ups[s] & (std::uint64_t{1} << up)) != 0 &&
-              legs.dst_ej[static_cast<std::size_t>(up)][d] != 0) {
-            connected = true;
-            break;
-          }
-        }
-      }
-      if (!connected) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
-void MtrPlan::build_pair_combos() {
-  // Reachability semantics for Fig. 7: a pair survives a fault pattern
-  // when MTR, keeping its design-time turn restrictions but aware of the
-  // faults, can still deliver through some single-crossing route whose
-  // two vertical channels are alive. The synthesis guaranteed at least
-  // one combination per pair fault-free (leg_connectivity_ok).
-  const LegTables legs = compute_leg_tables();
-  const std::size_t num_ep = topo_->endpoints().size();
-  combos_.assign(num_ep * num_ep, 0);
-  for (std::size_t s = 0; s < num_ep; ++s) {
-    const int src_chiplet = topo_->node(topo_->endpoints()[s]).chiplet;
-    for (std::size_t d = 0; d < num_ep; ++d) {
-      const int dst_chiplet = topo_->node(topo_->endpoints()[d]).chiplet;
-      if (s == d || src_chiplet == dst_chiplet) {
-        continue;
-      }
-      std::uint64_t combo = 0;
-      if (src_chiplet != kInterposer && dst_chiplet != kInterposer) {
-        for (VlId dn : topo_->chiplet_vls(src_chiplet)) {
-          if ((legs.src_downs[s] & (std::uint64_t{1} << dn)) == 0) {
-            continue;
-          }
-          for (VlId up : topo_->chiplet_vls(dst_chiplet)) {
-            if ((legs.mid_ups[static_cast<std::size_t>(dn)] &
-                 (std::uint64_t{1} << up)) != 0 &&
-                legs.dst_ej[static_cast<std::size_t>(up)][d] != 0) {
-              combo |= std::uint64_t{1}
-                       << (8 * topo_->vl(dn).index_in_chiplet +
-                           topo_->vl(up).index_in_chiplet);
-            }
-          }
-        }
-      } else if (dst_chiplet == kInterposer) {
-        for (VlId dn : topo_->chiplet_vls(src_chiplet)) {
-          if ((legs.src_downs[s] & (std::uint64_t{1} << dn)) != 0 &&
-              legs.mid_ej[static_cast<std::size_t>(dn)][d] != 0) {
-            combo |= std::uint64_t{1} << topo_->vl(dn).index_in_chiplet;
-          }
-        }
-      } else {
-        for (VlId up : topo_->chiplet_vls(dst_chiplet)) {
-          if ((legs.src_ups[s] & (std::uint64_t{1} << up)) != 0 &&
-              legs.dst_ej[static_cast<std::size_t>(up)][d] != 0) {
-            combo |= std::uint64_t{1} << topo_->vl(up).index_in_chiplet;
-          }
-        }
-      }
-      combos_[s * num_ep + d] = combo;
-    }
-  }
 }
 
 std::uint64_t MtrPlan::pair_combos(NodeId src, NodeId dst) const {

@@ -16,7 +16,6 @@
 #pragma once
 
 #include <memory>
-#include <unordered_set>
 
 #include "common/rng.hpp"
 #include "routing/line_graph.hpp"
@@ -34,11 +33,12 @@ class MtrPlan {
 
   const Topology& topo() const { return *topo_; }
 
-  /// True when the channel-to-channel turn survived synthesis.
+  /// True when the channel-to-channel turn survived synthesis. `out` must
+  /// leave the router `in` enters.
   bool turn_allowed(ChannelId in, ChannelId out) const;
 
   /// Number of turns removed by the synthesis.
-  int restricted_turn_count() const { return static_cast<int>(forbidden_.size()); }
+  int restricted_turn_count() const { return restricted_turns_; }
 
   /// The final allowed-turn line graph (includes injection/ejection).
   const LineGraph& line_graph() const { return *line_graph_; }
@@ -67,36 +67,23 @@ class MtrPlan {
   }
 
  private:
-  /// Leg-restricted reachability under the current restriction set: which
-  /// VLs each source can descend through (source mesh only), which ascents
-  /// each descent can reach (interposer only), and which destinations each
-  /// ascent serves (destination mesh only). Inter-chiplet MTR routes cross
-  /// exactly once down and once up, so these tables decide both
-  /// connectivity during synthesis and the fault-reachability combos.
-  struct LegTables {
-    /// Per endpoint index: reachable down VLs / up VLs (bitmask by VlId).
-    std::vector<std::uint64_t> src_downs;
-    std::vector<std::uint64_t> src_ups;
-    /// Per descending VL: reachable ascending VLs (bitmask by VlId).
-    std::vector<std::uint64_t> mid_ups;
-    /// Per descending VL: interposer endpoints whose ejection is reachable.
-    std::vector<std::vector<char>> mid_ej;
-    /// Per ascending VL: endpoints whose ejection is reachable.
-    std::vector<std::vector<char>> dst_ej;
-  };
+  /// The synthesis' single-crossing route model (source, interposer and
+  /// destination leg graphs), defined in mtr_routing.cpp. It lives only
+  /// while the constructor runs.
+  class Legs;
 
-  void synthesize_restrictions();
-  bool try_synthesize(Rng* shuffle);
+  void synthesize_restrictions(Legs& legs);
+  bool try_synthesize(Legs& legs,
+                      const std::vector<std::vector<int>>& unrestricted,
+                      Rng* shuffle);
   void build_route_tables();
-  void build_pair_combos();
-  LegTables compute_leg_tables() const;
-  bool leg_connectivity_ok(const LegTables& legs) const;
-
-  std::vector<std::vector<int>> channel_turn_adjacency() const;
   bool connectivity_preserved() const;
 
   const Topology* topo_;
-  std::unordered_set<std::uint64_t> forbidden_;
+  /// One byte per turn slot (input channel * kNumPorts + output port):
+  /// nonzero when the synthesis forbade that turn.
+  std::vector<std::uint8_t> forbidden_;
+  int restricted_turns_ = 0;
   std::unique_ptr<LineGraph> line_graph_;
   std::vector<int> endpoint_index_;
   /// dist_[endpoint_index][line_node]

@@ -9,6 +9,8 @@
 #include "core/runner.hpp"
 #include "fault/scenario.hpp"
 #include "routing/cdg.hpp"
+#include "sim_results_checks.hpp"
+#include "topology/builder.hpp"
 
 namespace deft {
 namespace {
@@ -54,6 +56,24 @@ bool bfs_reachable(const MtrPlan& plan, const VlFaultSet& faults, NodeId src,
   return false;
 }
 
+/// The plan's channel turn graph: channel -> every channel it may turn
+/// into.
+std::vector<std::vector<int>> allowed_turn_adjacency(const MtrPlan& plan) {
+  const Topology& topo = plan.topo();
+  std::vector<std::vector<int>> adj(
+      static_cast<std::size_t>(topo.num_channels()));
+  for (ChannelId in = 0; in < topo.num_channels(); ++in) {
+    for (int p = 0; p < kNumPorts; ++p) {
+      const ChannelId out =
+          topo.out_channel(topo.channel(in).dst, static_cast<Port>(p));
+      if (out != kInvalidChannel && plan.turn_allowed(in, out)) {
+        adj[static_cast<std::size_t>(in)].push_back(out);
+      }
+    }
+  }
+  return adj;
+}
+
 class MtrTest : public ::testing::TestWithParam<int> {
  protected:
   MtrTest() : ctx_(ExperimentContext::reference(GetParam())) {}
@@ -89,20 +109,8 @@ TEST_P(MtrTest, SynthesisRestrictsOnlyVerticalAdjacentTurns) {
 }
 
 TEST_P(MtrTest, AllowedTurnGraphIsAcyclic) {
-  const auto plan = ctx_.mtr_plan();
-  const Topology& topo = ctx_.topo();
-  std::vector<std::vector<int>> adj(
-      static_cast<std::size_t>(topo.num_channels()));
-  for (ChannelId in = 0; in < topo.num_channels(); ++in) {
-    for (int p = 0; p < kNumPorts; ++p) {
-      const ChannelId out =
-          topo.out_channel(topo.channel(in).dst, static_cast<Port>(p));
-      if (out != kInvalidChannel && plan->turn_allowed(in, out)) {
-        adj[static_cast<std::size_t>(in)].push_back(out);
-      }
-    }
-  }
-  EXPECT_TRUE(is_acyclic(adj)) << "MTR turn graph has a dependency cycle";
+  EXPECT_TRUE(is_acyclic(allowed_turn_adjacency(*ctx_.mtr_plan())))
+      << "MTR turn graph has a dependency cycle";
 }
 
 TEST_P(MtrTest, FaultFreeDistancesAreFiniteForAllPairs) {
@@ -306,6 +314,82 @@ TEST(MtrHetero, SynthesizesOnHeterogeneousSystem) {
         EXPECT_NE(plan->distance(plan->line_graph().injection_node(s), d),
                   MtrPlan::kUnreachable);
       }
+    }
+  }
+}
+
+/// FNV-1a over a plan: its restriction count, the verdict on every turn
+/// (each channel into each output port of its router), every endpoint
+/// pair's combos and every distance row.
+std::uint64_t plan_digest(const MtrPlan& plan) {
+  const Topology& topo = plan.topo();
+  Digest d;
+  d.mix(static_cast<std::uint64_t>(plan.restricted_turn_count()));
+  for (ChannelId in = 0; in < topo.num_channels(); ++in) {
+    for (int p = 0; p < kNumPorts; ++p) {
+      const ChannelId out =
+          topo.out_channel(topo.channel(in).dst, static_cast<Port>(p));
+      if (out != kInvalidChannel) {
+        d.mix(std::uint64_t{plan.turn_allowed(in, out)});
+      }
+    }
+  }
+  for (NodeId s : topo.endpoints()) {
+    for (NodeId dst : topo.endpoints()) {
+      d.mix(plan.pair_combos(s, dst));
+    }
+  }
+  const auto line_nodes = static_cast<std::size_t>(plan.line_graph().size());
+  for (std::size_t e = 0; e < topo.endpoints().size(); ++e) {
+    const std::uint16_t* row = plan.distance_row(e);
+    for (std::size_t l = 0; l < line_nodes; ++l) {
+      d.mix(std::uint64_t{row[l]});
+    }
+  }
+  return d.value();
+}
+
+TEST(MtrPlanTest, PlansArePinned) {
+  // Every plan of five systems, pinned: the reference systems, the
+  // heterogeneous pair and two grids. A failure means the synthesis now
+  // restricts other turns, so MTR routes (and its Fig. 7 combos) change.
+  struct Pin {
+    SystemSpec spec;
+    std::uint64_t digest;
+  };
+  const Pin pins[] = {
+      {make_reference_spec(4), 0xfd2eb0f0e65d962eULL},
+      {make_reference_spec(6), 0x43452563711267f4ULL},
+      {make_two_chiplet_spec(), 0x7a35cae9cd8771a5ULL},
+      {make_grid_spec(2, 2, 3, 3), 0xa3a03fd4a3a8c59fULL},
+      {make_grid_spec(3, 3, 4, 4), 0x94e2ba414b89d919ULL},
+  };
+  for (const Pin& pin : pins) {
+    const Topology topo(pin.spec);
+    SCOPED_TRACE(topo.spec().name + " " +
+                 std::to_string(topo.spec().interposer_width) + "x" +
+                 std::to_string(topo.spec().interposer_height));
+    const std::uint64_t digest = plan_digest(MtrPlan(topo));
+    EXPECT_EQ(digest, pin.digest) << "0x" << std::hex << digest;
+  }
+}
+
+TEST(MtrPlanTest, BuildsPastSixtyFourVls) {
+  // 20 chiplets with 4 VLs each: VL ids run past one 64-bit word.
+  const Topology topo(make_grid_spec(5, 4, 2, 2));
+  ASSERT_GT(topo.num_vls(), 64);
+  const MtrPlan plan(topo);
+  EXPECT_TRUE(is_acyclic(allowed_turn_adjacency(plan)))
+      << "MTR turn graph has a dependency cycle";
+  for (NodeId s : topo.endpoints()) {
+    const int inj = plan.line_graph().injection_node(s);
+    for (NodeId d : topo.endpoints()) {
+      if (topo.node(s).chiplet == topo.node(d).chiplet) {
+        continue;
+      }
+      EXPECT_NE(plan.pair_combos(s, d), 0u) << s << " -> " << d;
+      EXPECT_NE(plan.distance(inj, d), MtrPlan::kUnreachable)
+          << s << " -> " << d;
     }
   }
 }
