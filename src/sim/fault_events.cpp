@@ -433,13 +433,12 @@ void FaultSurgeon::apply_policy(Network& net, RoutingAlgorithm& alg,
                                 RcUnitManager& rc_units) {
   // Ascending NI order: the reroute path re-prepares routes through the
   // algorithm's shared RNG stream (or, in counter mode, each NI's private
-  // stream), and this is the order the serial NI loop consumes it in -
-  // sharded runs call this from the same serial point, so the streams
-  // stay bit-identical across shard counts. In counter mode the back
-  // phase additionally defers its parallel route preparation whenever an
+  // stream), and this is the order packet materialization consumes it in
+  // - every shard count calls this from the same serial begin step, so
+  // the streams stay bit-identical across shard counts. In counter mode
+  // the back step additionally defers its route preparation whenever an
   // event is pending at the commit cycle, so these reroute draws always
-  // precede that cycle's injection draws on every NI stream, exactly as
-  // the serial loop orders them.
+  // precede that cycle's injection draws on every NI stream.
   for (NetworkInterface& ni : nis) {
     if (ni.queue_head_ >= ni.queue_.size()) {
       continue;

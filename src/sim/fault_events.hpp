@@ -1,8 +1,8 @@
 // Mid-run fault-event surgery.
 //
 // A FaultTimeline turns faults from a static per-run scenario into runtime
-// events. The FaultSurgeon applies the events due at a cycle boundary - a
-// serial point in both the serial and the sharded core, so the surgery is
+// events. The FaultSurgeon applies the events due at a cycle boundary - the
+// cycle's serial begin step at any shard count, so the surgery is
 // bit-identical across shard counts - and performs the incremental state
 // transition the naive approach (tear down the run, rebuild per scenario)
 // avoids paying for:

@@ -20,12 +20,12 @@ struct NiCounters {
 };
 
 /// A permission request an NI would file with a (possibly remote) RC unit.
-/// The sharded core captures these during the parallel NI phase and
-/// delivers them serially in ascending NI order - the order the serial NI
-/// loop files them - before the next RC tick. Deferring delivery to the
-/// cycle boundary is exact: a request filed at cycle t cannot arrive at
-/// its unit before t + 2 (permission_latency >= 2), so no grant decision
-/// at cycle t or t + 1 can observe it.
+/// The cycle's front step captures these during NI injection and the back
+/// step delivers them in ascending NI order - the order the NIs file them
+/// - before the next RC tick. Deferring delivery to the back step is
+/// exact: a request filed at cycle t cannot arrive at its unit before
+/// t + 2 (permission_latency >= 2), so no grant decision at cycle t or
+/// t + 1 can observe it.
 struct RcPermissionRequest {
   std::size_t ni = 0;  ///< NI index (the delivery-order key)
   NodeId unit_node = kInvalidNode;
@@ -91,9 +91,9 @@ class NetworkInterface {
                         PacketTable& packets, int packet_size,
                         bool in_measure_window, NiCounters& counters);
 
-  /// Counter-mode fast path for the sharded core: prepares the routes of
-  /// the requests pre-drawn by schedule_next() using this NI's private
-  /// counter stream, so the work runs inside the parallel back phase.
+  /// Counter-mode fast path: prepares the routes of the requests pre-drawn
+  /// by schedule_next() using this NI's private counter stream, so the
+  /// work runs inside the cycle's per-shard back step.
   /// Packet creation (the dense-id allocation) stays in commit_scheduled's
   /// serial ascending-NI merge, which is what keeps PacketTable ids
   /// shard-count-invariant. Only valid in counter mode; must not run when
@@ -104,7 +104,7 @@ class NetworkInterface {
 
   /// Pushes at most one flit of the active packet into the router; handles
   /// RC permission acquisition for the head-of-queue packet. When
-  /// `staged_requests` is non-null (the sharded core's parallel NI phase),
+  /// `staged_requests` is non-null (the cycle's front step),
   /// permission requests are appended there - tagged with `ni_index` -
   /// instead of being filed with the manager directly; grant checks stay
   /// read-only either way.

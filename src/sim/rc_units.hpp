@@ -35,10 +35,12 @@ class RcUnitManager {
   void reset(const Topology& topo, int packet_size);
 
   /// NI-side: file a permission request for `packet` targeting the unit at
-  /// boundary router `unit_node`. One outstanding request per NI.
+  /// boundary router `unit_node`. One outstanding request per NI. (The
+  /// full-scan reference core files directly; the active-set cycle stages
+  /// requests and delivers them through request_parallel().)
   void request(NodeId unit_node, NodeId requester, PacketId packet, Cycle now);
 
-  /// request() variant for the sharded core's distributed delivery: the
+  /// request() variant for the cycle's distributed delivery: the
   /// busy-unit counter is NOT touched - the at-rest transition (0 or 1) is
   /// returned instead, for the caller to accumulate per shard and fold in
   /// via add_busy_units() at the next serial point. Safe to call

@@ -7,40 +7,45 @@
 // the expected outcome). Traffic generation continues during the drain so
 // the network stays loaded, as in standard open-loop methodology.
 //
-// The run is phase-segmented: warmup, measurement and drain execute as
-// separate loops instantiated with compile-time StatsSinks, so the
-// measure-window branch and all per-flit statistics vanish from the
-// warmup/drain cycle path. On top of the network's active-router worklist
-// the driver keeps its own pending-NI worklist: endpoints are visited only
-// when they hold undelivered packets or when their pre-drawn next
-// injection (TrafficGenerator::next_injection) comes due, so idle
-// endpoints cost zero per cycle. SimCore::full_scan disables both
-// worklists and runs the original walk-everything loop - the semantic
-// reference that the equivalence tests compare against; both cores are
-// bit-identical for a fixed seed.
+// One cycle, two drivers. Every active-set run executes the same
+// partitioned cycle (simulator.cpp): a serial begin step (due fault
+// events, packet materialization in NI order, the RC tick), a per-shard
+// front step (NI injection, router step) and back step (commit, RC
+// permission delivery, the next cycle's injection draw), and a serial end
+// step (RC absorptions, watchdog, drain check). A serial run - every
+// SimStepper run - calls the four steps inline on the calling thread at
+// one shard, with no worker threads and no rendezvous. With
+// SimKnobs::shards > 1, the active-set core and a lookahead-capable
+// traffic generator, Simulator::run calls them from one worker thread per
+// shard of a chiplet-granular Partition. Results are bit-identical for
+// any shard count (tests/test_sim_sharded.cpp); configurations sharding
+// cannot serve (full-scan core, traffic without lookahead, one-unit
+// partitions) silently execute at one shard.
+//
+// The cycle visits endpoints through a pending-NI worklist: an NI is
+// visited only when it holds undelivered packets or when its pre-drawn
+// next injection (TrafficGenerator::next_injection) comes due, so idle
+// endpoints cost zero per cycle; traffic without lookahead is polled at
+// every NI instead. The cycle's stats sink is a compile-time template
+// chosen by the measurement-window flag, so per-flit statistics vanish
+// from warmup and drain cycles. SimCore::full_scan runs the original
+// walk-everything loop instead - the semantic reference the equivalence
+// tests compare against; both cores are bit-identical for a fixed seed.
 //
 // All per-run state lives in a SimWorkspace arena. run() builds a private
 // one; run(SimWorkspace&) reuses the caller's across runs, which is what
 // makes sweeps of many short runs cheap: after the first run on a given
 // topology the workspace's buffers are warm and a steady-state run
 // performs zero heap allocations (asserted by tests/test_workspace.cpp).
-// Sharded execution: with SimKnobs::shards > 1 (and the active-set core
-// plus a lookahead-capable traffic generator) the run executes across one
-// worker thread per shard of a chiplet-granular Partition. Every phase of
-// a cycle that touches per-router or per-NI state runs shard-parallel;
-// the order-sensitive slivers - packet materialization (the routing
-// algorithm's shared RNG stream), RC permission delivery and the RC-unit
-// tick, and the end-of-cycle watchdog/drain decisions - run serially in
-// the end-of-cycle completion step, in exactly the order the serial loop
-// performs them. Results are bit-identical to shards = 1 for any shard
-// count (tests/test_sim_sharded.cpp); configurations sharding cannot
-// serve (full-scan core, non-lookahead traffic, single-shard partitions)
-// silently execute serially.
-// Stepped execution: SimStepper exposes the serial loop as a resumable
+//
+// Stepped execution: SimStepper exposes the serial run as a resumable
 // start/advance/finish sequence - Simulator::run(ws)'s serial path is a
 // wrapper over it - so snapshots and campaign checkpoints can pause a run
-// at any cycle boundary without touching its results (bit-identical by
-// construction; see docs/architecture.md).
+// at any cycle boundary without touching its results. A pause before
+// cycle c leaves c's injection draw to c's begin step; the draw is
+// idempotent, so a paused and resumed run executes exactly the cycles of
+// an unpaused one (bit-identical by construction; see
+// docs/architecture.md).
 #pragma once
 
 #include <limits>
@@ -55,14 +60,14 @@
 
 namespace deft {
 
-/// Upper bound on SimKnobs::shards (the serial merge steps of the
-/// partitioned core use fixed per-shard cursors).
+/// Upper bound on SimKnobs::shards (the back step's RC request merge uses
+/// fixed per-shard cursors).
 inline constexpr int kMaxSimShards = 64;
 
 /// Where per-packet routing randomness (DeFT-Random's VL draws) comes
 /// from. `serial` is the historical shared xoshiro stream consumed in
 /// ascending NI order - every golden digest is pinned to it - which
-/// forces packet materialization into the sharded core's serial sliver.
+/// forces packet materialization into the cycle's serial begin step.
 /// `counter` gives each NI a private counter-based stream keyed by
 /// (seed, endpoint node): draw k of a stream is a pure function of the
 /// key and k, so route preparation moves into the parallel shard phases
@@ -100,29 +105,31 @@ struct SimKnobs {
   RngMode rng_mode = RngMode::serial;
 };
 
-/// One shard's slice of the per-run state: the NI worklist (busy/wake
-/// bitmasks over the global NI index space, plus the scheduled-injection
-/// heap), the staged RC permission requests, and the shard's private
-/// measurement accumulators (merged order-insensitively after the run -
-/// latency summaries sort their samples, every counter is additive).
-/// Cache-line aligned so that one shard's per-ejection counter updates
-/// never share a line with a neighbouring shard's slice.
+/// One shard's slice of the per-run state: the NI worklist, the staged RC
+/// permission requests, and the shard's private measurement accumulators
+/// (merged order-insensitively after the run - latency summaries sort
+/// their samples, every counter is additive). A serial run uses slice 0
+/// alone. Cache-line aligned so that one shard's per-ejection counter
+/// updates never share a line with a neighbouring shard's slice.
 struct alignas(64) ShardRun {
+  /// NI worklist over the global NI index space: `busy` mirrors
+  /// NetworkInterface::busy() for the shard's NIs, `wake` marks NIs whose
+  /// scheduled injection fires this cycle, and `events` is a binary
+  /// min-heap over (cycle, NI index) holding each NI's pre-drawn next
+  /// injection, managed with std::push_heap/std::pop_heap (a
+  /// std::priority_queue would own - and reallocate - its container
+  /// privately).
   std::vector<std::uint64_t> busy;
   std::vector<std::uint64_t> wake;
   std::vector<std::pair<Cycle, std::size_t>> events;
-  /// NIs whose scheduled injection fires next cycle (ascending), awaiting
-  /// the serial materialization step (serial rng mode) or already carrying
-  /// routes prepared in the parallel back phase (counter mode).
-  std::vector<std::size_t> pending;
   std::vector<RcPermissionRequest> rc_requests;
   /// Units this shard moved out of rest while delivering permission
-  /// requests in the back phase; folded into RcUnitManager::busy_units_
-  /// at the next serial point (the counter itself is global state no
-  /// parallel phase may touch).
+  /// requests in the back step; folded into RcUnitManager::busy_units_
+  /// at the cycle's end (the counter itself is global state no parallel
+  /// step may touch).
   int rc_busy_delta = 0;
 
-  // Measurement slice (PhaseSink-equivalent, per shard).
+  // Measurement slice.
   std::vector<std::uint32_t> net_latencies;
   std::vector<std::uint32_t> total_latencies;
   std::vector<std::array<std::uint64_t, kMaxVcsStats>> region_vc_flits;
@@ -131,11 +138,27 @@ struct alignas(64) ShardRun {
   std::uint64_t delivered_measured = 0;
 };
 
+/// Loop state carried from cycle to cycle: the clock, the watchdog's idle
+/// count, the terminal flags and the injection counters. A stepper keeps
+/// it between advance() calls; snapshots save it.
+struct RunCursor {
+  Cycle measure_end = 0;
+  Cycle hard_end = 0;
+  Cycle now = 0;
+  Cycle idle_cycles = 0;
+  bool deadlock = false;
+  bool drained = false;
+  NiCounters counters;
+};
+
+/// The cycle's shared state (simulator.cpp).
+struct CycleEngine;
+
 /// Reusable arena owning every piece of per-run simulation state: the
 /// PacketTable planes (hot/cold records plus the interned RouteStore),
 /// the Network's router/credit storage, the RC units, the NI vector, the
-/// pending-NI worklist bitmasks and event heap, the latency sample
-/// vectors, and the SimResults the run fills in.
+/// per-shard slices (NI worklists, staged RC requests, latency samples and
+/// counters), and the SimResults the run fills in.
 ///
 /// Contract: a run through a workspace produces SimResults bit-identical
 /// to a run through a freshly constructed one (Simulator::run(ws) resets
@@ -162,28 +185,20 @@ class SimWorkspace {
   friend class Simulator;
   friend class SimStepper;
   friend class SnapshotAccess;
+  friend struct CycleEngine;
 
   PacketTable packets_;
   Network net_;
   RcUnitManager rc_units_;
   FaultSurgeon surgeon_;
   std::vector<NetworkInterface> nis_;
-  /// Partitioned-core state: the router partition, one ShardRun slice per
-  /// shard, and the persistent worker pool (threads survive across runs,
-  /// so a workspace reused for many sharded runs spawns them once).
+  /// The router partition of a run with shards > 1, one ShardRun slice
+  /// per shard (one for a serial run), and the persistent worker pool
+  /// (threads survive across runs, so a workspace reused for many sharded
+  /// runs spawns them once; serial runs never build it).
   Partition partition_;
   std::vector<ShardRun> shard_runs_;
   std::unique_ptr<WorkerPool> pool_;
-  /// Pending-NI worklist state (active-set core with lookahead traffic).
-  std::vector<std::uint64_t> busy_;
-  std::vector<std::uint64_t> wake_;
-  /// Binary min-heap over (cycle, NI index), managed with std::push_heap/
-  /// std::pop_heap (a std::priority_queue would own - and reallocate - its
-  /// container privately).
-  std::vector<std::pair<Cycle, std::size_t>> events_;
-  /// Latency samples of measured packets (consumed into the summaries).
-  std::vector<std::uint32_t> net_latencies_;
-  std::vector<std::uint32_t> total_latencies_;
   SimResults results_;
 };
 
@@ -215,17 +230,22 @@ class Simulator {
  private:
   friend class SimStepper;
   friend class SnapshotAccess;
+  friend struct CycleEngine;
 
-  /// Resets every workspace plane for a fresh run (shared by the serial
-  /// stepper and the sharded driver). `partition` is non-null only for
-  /// sharded execution.
-  void prepare(SimWorkspace& ws, const Partition* partition);
-  /// Run-end finalization, also shared by both paths: the end state and
-  /// counters, the latency summaries and the surgeon's fault metrics.
-  static const SimResults& finish(SimWorkspace& ws, Cycle cycles,
-                                  bool deadlock, bool drained,
-                                  const NiCounters& counters,
-                                  std::uint64_t delivered_measured);
+  /// Whether injections are pre-drawn per NI: lookahead traffic on the
+  /// active-set core. Sharding requires it; otherwise NIs are polled.
+  bool lookahead() const {
+    return knobs_.core == SimCore::active_set &&
+           traffic_->supports_lookahead();
+  }
+  /// Resets every workspace plane for a fresh run (shared by the stepper
+  /// and the worker loop) and returns the run's initial cursor.
+  /// `partition` is non-null only for execution at more than one shard.
+  RunCursor prepare(SimWorkspace& ws, const Partition* partition);
+  /// Run-end finalization, also shared by both drivers: the merged shard
+  /// slices, the end state and counters, the latency summaries and the
+  /// surgeon's fault metrics.
+  static const SimResults& finish(SimWorkspace& ws, const RunCursor& cur);
 
   const Topology* topo_;
   RoutingAlgorithm* algorithm_;
@@ -242,16 +262,16 @@ class Simulator {
 /// run's natural end, finish() finalizes and returns the workspace-owned
 /// SimResults. Simulator::run(ws)'s serial path is exactly
 /// start + advance(unbounded) + finish, so a stepped run is bit-identical
-/// to an unstepped one by construction: the same phase loops execute the
-/// same cycles in the same order, merely pausing at advance() boundaries.
-/// All persistent loop state (cycle cursor, watchdog counter, injection
-/// counters) lives here; everything heavier stays in the SimWorkspace.
+/// to an unstepped one by construction: the same cycle code executes the
+/// same cycles in the same order, merely pausing at advance() boundaries,
+/// where the only deferred work - the next cycle's injection draw - is
+/// what that cycle's begin step performs anyway. The run cursor lives
+/// here; everything heavier stays in the SimWorkspace.
 ///
-/// The stepper always executes serially, even for shard-eligible
-/// configurations (SimKnobs::shards > 1) - valid because sharded results
-/// are bit-identical to serial by the sharded core's own contract.
-/// Snapshots (sim/snapshot.hpp) save and restore a stepper paused between
-/// advance() calls.
+/// The stepper always executes at one shard, even for shard-eligible
+/// configurations (SimKnobs::shards > 1) - valid because results are
+/// bit-identical for every shard count. Snapshots (sim/snapshot.hpp) save
+/// and restore a stepper paused between advance() calls.
 class SimStepper {
  public:
   SimStepper() = default;
@@ -272,7 +292,7 @@ class SimStepper {
   bool done() const { return done_; }
 
   /// The next cycle advance() would execute.
-  Cycle now() const { return now_; }
+  Cycle now() const { return cur_.now; }
 
   /// Finalizes the run's statistics into the workspace and returns them
   /// (valid until the workspace's next run). Requires done(); call once.
@@ -285,18 +305,10 @@ class SimStepper {
 
   Simulator* sim_ = nullptr;
   SimWorkspace* ws_ = nullptr;
-  Cycle measure_end_ = 0;
-  Cycle hard_end_ = 0;
-  Cycle now_ = 0;
-  Cycle idle_cycles_ = 0;
-  bool lookahead_ = false;
+  RunCursor cur_;
   bool primed_ = false;  ///< initial injection events armed
-  bool deadlock_ = false;
-  bool drained_ = false;
   bool done_ = false;
   bool finished_ = false;
-  NiCounters counters_;
-  std::uint64_t delivered_measured_ = 0;
 };
 
 }  // namespace deft

@@ -3,11 +3,13 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <type_traits>
 #include <utility>
@@ -220,15 +222,25 @@ class SnapshotAccess {
   }
 
   /// The whole payload after the fingerprint: the stepper's loop state,
-  /// then the run it drives.
+  /// then the run it drives. A stepped run is serial, so its measured
+  /// deliveries count in shard slice 0; the injection mode is a function
+  /// of the configuration, stored for the image's sake and checked.
   template <class IO>
   static void walk(IO& io, Ref<IO, SimStepper> st) {
-    io(st.measure_end_, st.hard_end_, st.now_, st.idle_cycles_,
-       st.lookahead_, st.primed_, st.deadlock_, st.drained_, st.done_,
-       st.counters_.created, st.counters_.created_measured,
-       st.counters_.dropped_unroutable, st.delivered_measured_);
+    auto& cur = st.cur_;
+    bool lookahead = st.sim_->lookahead();
+    io(cur.measure_end, cur.hard_end, cur.now, cur.idle_cycles, lookahead,
+       st.primed_, cur.deadlock, cur.drained, st.done_,
+       cur.counters.created, cur.counters.created_measured,
+       cur.counters.dropped_unroutable,
+       st.ws_->shard_runs_.front().delivered_measured);
+    if constexpr (!IO::kSaving) {
+      if (lookahead != st.sim_->lookahead()) {
+        throw SnapshotError("snapshot injection mode does not match the run");
+      }
+    }
     walk(io, *st.sim_);
-    walk(io, *st.ws_, *st.sim_);
+    walk(io, *st.ws_, *st.sim_, cur.now);
     if constexpr (!IO::kSaving) {
       if (!io.exhausted()) {
         throw SnapshotError("snapshot holds trailing bytes past its payload");
@@ -268,23 +280,61 @@ class SnapshotAccess {
   }
 
   /// Every workspace plane that carries state across a cycle boundary,
-  /// in image order.
+  /// in image order. `now` is the paused cycle.
   template <class IO>
-  static void walk(IO& io, Ref<IO, SimWorkspace> ws, Ref<IO, Simulator> sim) {
+  static void walk(IO& io, Ref<IO, SimWorkspace> ws, Ref<IO, Simulator> sim,
+                   Cycle now) {
     walk(io, ws.packets_);
     walk(io, ws.net_);
     fixed(io, ws.nis_, 48, "snapshot NI count mismatch",
           [&](auto& ni) { walk(io, ni); });
     walk(io, ws.rc_units_);
     walk(io, ws.surgeon_, sim);
-    seq(io, ws.busy_, 8, io);
-    seq(io, ws.wake_, 8, io);
-    // The scheduled-injection heap: the vector layout of a binary heap is
-    // deterministic, so it round-trips verbatim.
-    seq(io, ws.events_, 16, io);
-    seq(io, ws.net_latencies_, 4, io);
-    seq(io, ws.total_latencies_, 4, io);
-    walk(io, ws.results_);
+    auto& sh = ws.shard_runs_.front();
+    worklist(io, sh, ws.nis_.size(), now);
+    seq(io, sh.net_latencies, 4, io);
+    seq(io, sh.total_latencies, 4, io);
+    // The in-progress results counters: flit hops accumulate in the
+    // results, the per-flit statistics in the slice.
+    io(ws.results_.flit_hops, sh.flits_ejected_in_window);
+    fixed(io, sh.region_vc_flits, 8 * kMaxVcsStats,
+          "snapshot region count mismatch", io);
+    fixed(io, sh.vl_channel_flits, 8, "snapshot VL plane size mismatch", io);
+  }
+
+  /// The NI worklist: the busy and wake words, then the scheduled-injection
+  /// heap (the vector layout of a binary heap is deterministic, so it
+  /// round-trips verbatim). The cycle indexes NIs by every set bit and
+  /// every event, so restore admits only what the run itself could hold.
+  template <class IO>
+  static void worklist(IO& io, Ref<IO, ShardRun> sh, std::size_t num_nis,
+                       Cycle now) {
+    fixed(io, sh.busy, 8, "snapshot NI worklist size mismatch", io);
+    fixed(io, sh.wake, 8, "snapshot NI worklist size mismatch", io);
+    seq(io, sh.events, 16, io);
+    if constexpr (!IO::kSaving) {
+      if (num_nis % 64 != 0 && !sh.busy.empty() &&
+          ((sh.busy.back() | sh.wake.back()) >> (num_nis % 64)) != 0) {
+        throw SnapshotError("snapshot NI worklist marks NIs past the NI count");
+      }
+      for (const auto& [cycle, ni] : sh.events) {
+        if (ni >= num_nis) {
+          throw SnapshotError("snapshot injection event names NI " +
+                              std::to_string(ni) + " of " +
+                              std::to_string(num_nis));
+        }
+        if (cycle < now) {
+          throw SnapshotError("snapshot injection event at cycle " +
+                              std::to_string(cycle) +
+                              " precedes the paused cycle " +
+                              std::to_string(now));
+        }
+      }
+      if (!std::is_heap(sh.events.begin(), sh.events.end(),
+                        std::greater<>{})) {
+        throw SnapshotError("snapshot injection events do not form a heap");
+      }
+    }
   }
 
   template <class IO>
@@ -470,16 +520,6 @@ class SnapshotAccess {
         sim.algorithm_->set_faults(s.faults_);
       }
     }
-  }
-
-  /// Only the fields the phase loops mutate mid-run; finish() fills the
-  /// rest.
-  template <class IO>
-  static void walk(IO& io, Ref<IO, SimResults> res) {
-    io(res.flit_hops, res.flits_ejected_in_window);
-    fixed(io, res.region_vc_flits, 8 * kMaxVcsStats,
-          "snapshot region count mismatch", io);
-    fixed(io, res.vl_channel_flits, 8, "snapshot VL plane size mismatch", io);
   }
 };
 

@@ -11,10 +11,10 @@
 //   restore_snapshot(...); stepper.advance(); stepper.finish();
 //
 // is bit-identical to the uninterrupted run (same SimResults, same golden
-// digests). This holds for every execution mode: the stepper is always
-// serial, and the sharded core pins its results to the serial loop's, so
-// a snapshot taken on the serial stepper resumes a sharded configuration
-// exactly (tests/test_snapshot.cpp).
+// digests). This holds for every execution mode: the stepper always runs
+// at one shard, and every shard count gives the same results, so a
+// snapshot taken on the stepper resumes a sharded configuration exactly
+// (tests/test_snapshot.cpp).
 //
 // A snapshot is only meaningful against the exact run configuration it
 // was taken from, so the image embeds a configuration fingerprint (knobs,
@@ -37,8 +37,8 @@
 //     from the timeline and the NIs, and its per-event scratch (doomed_,
 //     doomed_list_, pinned_empty_), reassigned at every event;
 //   - each NI's counter-stream key, a pure function of (seed, node) that
-//     prepare() rebuilds, and its prepared_ routes, which only the sharded
-//     core's parallel phase fills (the stepper is serial);
+//     prepare() rebuilds, and its prepared_ routes, empty at every pause
+//     (the back step before a pause draws nothing, so prepares nothing);
 //   - the network's staged outboxes, empty at every pause (save refuses
 //     an image otherwise);
 //   - RouteStore's hash index, which re-interning the routes rebuilds;

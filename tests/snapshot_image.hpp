@@ -6,8 +6,11 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
+
+#include "stats/stats.hpp"
 
 namespace deft {
 
@@ -50,13 +53,55 @@ inline void reseal(std::vector<std::uint8_t>& image) {
                                payload));
 }
 
-/// Offset of the routing algorithm's stream word count: the payload opens
-/// with the length-prefixed configuration fingerprint and the stepper's
-/// loop state (four 8-byte cycles, five bools, four 8-byte counters).
+/// Offset of the stepper's loop state: the payload opens with the
+/// length-prefixed configuration fingerprint.
+inline std::size_t loop_state_offset(const std::vector<std::uint8_t>& image) {
+  return kSnapshotPayloadOffset + 8 +
+         static_cast<std::size_t>(image_u64(image, kSnapshotPayloadOffset));
+}
+
+/// Offset of the routing algorithm's stream word count, after the loop
+/// state (four 8-byte cycles, five bools, four 8-byte counters).
 inline std::size_t algorithm_stream_count_offset(
     const std::vector<std::uint8_t>& image) {
-  const std::size_t fingerprint = image_u64(image, kSnapshotPayloadOffset);
-  return kSnapshotPayloadOffset + 8 + fingerprint + 4 * 8 + 5 + 4 * 8;
+  return loop_state_offset(image) + 4 * 8 + 5 + 4 * 8;
+}
+
+/// Offsets of the NI worklist's three length fields - busy words, wake
+/// words, injection events - each followed by its elements (8-byte words;
+/// 16-byte (cycle, NI) events).
+struct WorklistOffsets {
+  std::size_t busy;
+  std::size_t wake;
+  std::size_t events;
+};
+
+/// Locates the NI worklist from the end of the image. After it come the
+/// two latency-sample vectors, one sample each per measured delivery (the
+/// loop state's last counter), then the results counters, which the
+/// topology sizes: flit hops and in-window ejections, `regions` rows of
+/// per-VC counters and `vl_channels` VL counters. The event count is the
+/// one whose three length fields agree.
+inline WorklistOffsets worklist_offsets(const std::vector<std::uint8_t>& image,
+                                        std::size_t ni_words,
+                                        std::size_t regions,
+                                        std::size_t vl_channels) {
+  const std::uint64_t samples =
+      image_u64(image, algorithm_stream_count_offset(image) - 8);
+  const std::size_t tail = 2 * (8 + 4 * samples) + 2 * 8 +
+                           (8 + regions * 8 * kMaxVcsStats) +
+                           (8 + vl_channels * 8);
+  const std::size_t words = 8 + 8 * ni_words;
+  const std::size_t events_end = image.size() - tail;
+  for (std::size_t n = 0; 2 * words + 8 + 16 * n <= events_end; ++n) {
+    const std::size_t events = events_end - 8 - 16 * n;
+    if (image_u64(image, events) == n &&
+        image_u64(image, events - words) == ni_words &&
+        image_u64(image, events - 2 * words) == ni_words) {
+      return {events - 2 * words, events - words, events};
+    }
+  }
+  throw std::runtime_error("snapshot image holds no NI worklist");
 }
 
 }  // namespace deft

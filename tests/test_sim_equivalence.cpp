@@ -105,15 +105,21 @@ TEST(SimEquivalence, ActiveSetMatchesFullScanOnGoldenConfigs) {
 
 TEST(SimEquivalence, ActiveSetMatchesFullScanAcrossTrafficPatterns) {
   // Exercises every lookahead implementation (localized, hotspot,
-  // transpose, bit-complement) plus a serialized-VL fault scenario.
+  // transpose, bit-complement) plus a serialized-VL fault scenario. The
+  // digests pin the results themselves, so a change in code both cores
+  // share cannot pass by agreement alone.
   struct PatternConfig {
     const char* pattern;
     int fault_count;
     int vl_serialization;
+    std::uint64_t expected_digest;
   };
   const PatternConfig configs[] = {
-      {"localized", 0, 1},  {"hotspot", 0, 1},      {"transpose", 0, 1},
-      {"bit-complement", 0, 1}, {"uniform", 6, 2},
+      {"localized", 0, 1, 0xa2e111325e554f35ULL},
+      {"hotspot", 0, 1, 0xbd90ba7c7597f0d8ULL},
+      {"transpose", 0, 1, 0x17fa70ed74b6f154ULL},
+      {"bit-complement", 0, 1, 0x8c5e4943109a8c17ULL},
+      {"uniform", 6, 2, 0xcfad1031e9d0ecc7ULL},
   };
   for (const PatternConfig& cfg : configs) {
     SCOPED_TRACE(cfg.pattern);
@@ -130,6 +136,8 @@ TEST(SimEquivalence, ActiveSetMatchesFullScanAcrossTrafficPatterns) {
           run_sim(ctx4(), Algorithm::deft, *traffic, knobs, faults);
     }
     expect_identical(results[0], results[1]);
+    EXPECT_EQ(digest(results[1]), cfg.expected_digest)
+        << "0x" << std::hex << digest(results[1]);
   }
 }
 
@@ -280,6 +288,10 @@ TEST(SimEquivalence, TraceLookaheadConsumesCursorsExactlyLikePolling) {
   ASSERT_EQ(out.size(), 1u);
 }
 
+// BL application traffic on every core of the reference system, DeFT,
+// golden_knobs. Shared with test_sim_sharded.cpp's serial-fallback test.
+constexpr std::uint64_t kBlDigest = 0x591763cf083352a3ULL;
+
 TEST(SimEquivalence, ActiveSetMatchesFullScanWithoutLookahead) {
   // Application traffic couples sources through request/reply flows, so it
   // declines lookahead; the active-set core must fall back to per-cycle
@@ -296,6 +308,8 @@ TEST(SimEquivalence, ActiveSetMatchesFullScanWithoutLookahead) {
         run_sim(ctx4(), Algorithm::deft, traffic, golden_knobs(core));
   }
   expect_identical(results[0], results[1]);
+  EXPECT_EQ(digest(results[1]), kBlDigest)
+      << "0x" << std::hex << digest(results[1]);
 }
 
 TEST(SimEquivalence, LookaheadConsumesRngExactlyLikePolling) {

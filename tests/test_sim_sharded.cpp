@@ -172,17 +172,20 @@ TEST(SimSharded, FieldIdenticalToSerialAcrossShardCounts) {
 // Wider configuration sweep: patterns, faults, serialization, 6 chiplets.
 
 TEST(SimSharded, MatchesSerialAcrossTrafficPatternsAndFaults) {
+  // Both shard counts run the same cycle code, so the digests guard what
+  // equality between them cannot.
   struct Config {
     const char* pattern;
     int fault_count;
     int vl_serialization;
+    std::uint64_t expected_digest;
   };
   const Config configs[] = {
-      {"localized", 0, 1},
-      {"hotspot", 2, 1},
-      {"transpose", 0, 1},
-      {"bit-complement", 0, 1},
-      {"uniform", 6, 2},
+      {"localized", 0, 1, 0xa2e111325e554f35ULL},
+      {"hotspot", 2, 1, 0xb3eca1cffb1d2c26ULL},
+      {"transpose", 0, 1, 0x17fa70ed74b6f154ULL},
+      {"bit-complement", 0, 1, 0x8c5e4943109a8c17ULL},
+      {"uniform", 6, 2, 0xcfad1031e9d0ecc7ULL},
   };
   for (const Config& cfg : configs) {
     SCOPED_TRACE(cfg.pattern);
@@ -202,6 +205,8 @@ TEST(SimSharded, MatchesSerialAcrossTrafficPatternsAndFaults) {
       } else {
         expect_identical(serial, r);
       }
+      EXPECT_EQ(digest(r), cfg.expected_digest)
+          << "0x" << std::hex << digest(r);
     }
   }
 }
@@ -209,7 +214,11 @@ TEST(SimSharded, MatchesSerialAcrossTrafficPatternsAndFaults) {
 TEST(SimSharded, SixChipletTraceReplayMatchesSerial) {
   const std::vector<TraceRecord> records =
       record_uniform_trace(ctx6().topo(), 0.02, 1500);
-  for (Algorithm algorithm : {Algorithm::deft, Algorithm::mtr}) {
+  const std::pair<Algorithm, std::uint64_t> goldens[] = {
+      {Algorithm::deft, 0x5187c4f98769f956ULL},
+      {Algorithm::mtr, 0x4d1d7bb5eabc475dULL},
+  };
+  for (const auto& [algorithm, expected_digest] : goldens) {
     SCOPED_TRACE(algorithm_name(algorithm));
     const VlFaultSet faults = grid_fault_pattern(ctx6(), 2);
     SimResults serial;
@@ -222,6 +231,7 @@ TEST(SimSharded, SixChipletTraceReplayMatchesSerial) {
       } else {
         expect_identical(serial, r);
       }
+      EXPECT_EQ(digest(r), expected_digest) << "0x" << std::hex << digest(r);
     }
   }
 }
@@ -308,6 +318,8 @@ TEST(SimShardedCounter, SixtyFourChipletGridMatchesSerial) {
       expect_identical(serial, r);
     }
     EXPECT_GT(r.packets_created, 0u);
+    EXPECT_EQ(digest(r), 0x44a5156fc77341afULL)
+        << "0x" << std::hex << digest(r);
   }
 }
 
@@ -353,6 +365,10 @@ TEST(SimSharded, FullScanCoreIgnoresShardKnob) {
                    run_sim(ctx4(), Algorithm::deft, b, sharded_knobs));
 }
 
+// test_sim_equivalence.cpp's kBlDigest: BL application traffic, DeFT,
+// golden_knobs.
+constexpr std::uint64_t kBlDigest = 0x591763cf083352a3ULL;
+
 TEST(SimSharded, NonLookaheadTrafficFallsBackToSerial) {
   // Application traffic couples sources through request/reply flows and
   // so declines lookahead - the sharded core cannot draw its sources in
@@ -368,6 +384,8 @@ TEST(SimSharded, NonLookaheadTrafficFallsBackToSerial) {
         run_sim(ctx4(), Algorithm::deft, traffic, golden_knobs(shards));
   }
   expect_identical(results[0], results[1]);
+  EXPECT_EQ(digest(results[1]), kBlDigest)
+      << "0x" << std::hex << digest(results[1]);
 }
 
 }  // namespace

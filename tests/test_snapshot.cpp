@@ -20,6 +20,7 @@
 #include "sim/snapshot.hpp"
 #include "sim_results_checks.hpp"
 #include "snapshot_image.hpp"
+#include "traffic/app_profiles.hpp"
 #include "traffic/trace.hpp"
 
 namespace deft {
@@ -52,6 +53,8 @@ struct Scenario {
   /// Two vertical channels fail inside the measurement window (cycles 700
   /// and 900) and are repaired at 1400, under the reroute policy.
   bool fail_repair = false;
+  /// BL application traffic on every core (no lookahead: NIs are polled).
+  bool application = false;
 };
 
 // The six golden configurations of test_sim_equivalence.cpp (uniform
@@ -89,6 +92,19 @@ const Scenario kCounterRandom = {"deft_random_counter", Algorithm::deft,
 const Scenario kFailRepair = {"deft_fail_repair", Algorithm::deft,
                               VlStrategy::table, 0, false, 0,
                               RngMode::serial, true};
+
+// BL application traffic (no resume digest: the generator's burst and
+// reply state has no stream-state hooks, so only the image is checked).
+const Scenario kApplication = {"bl_application", Algorithm::deft,
+                               VlStrategy::table, 0, false, 0,
+                               RngMode::serial, false, true};
+
+std::unique_ptr<TrafficGenerator> application_traffic() {
+  return std::make_unique<AppTrafficGenerator>(
+      ctx4().topo(),
+      std::vector<AppAssignment>{
+          {profile_by_code("BL"), ctx4().topo().core_endpoints()}});
+}
 
 const std::vector<TraceRecord>& golden_trace() {
   static const std::vector<TraceRecord> trace =
@@ -134,6 +150,8 @@ std::unique_ptr<Run> make_run(const Scenario& s) {
                                          run->knobs.num_vcs, s.strategy);
   if (s.trace) {
     run->traffic = std::make_unique<TraceReplayGenerator>(golden_trace());
+  } else if (s.application) {
+    run->traffic = application_traffic();
   } else {
     run->traffic = std::make_unique<UniformTraffic>(ctx4().topo(), 0.02);
   }
@@ -169,10 +187,15 @@ TEST(SimStepper, SingleCycleCapsMatchOneShotRun) {
   // The cap parameter itself: advancing a stepper one cycle at a time
   // must reproduce the uncapped run exactly, including the phase
   // transitions (warmup -> measure -> last measure cycle -> drain) that
-  // the capped loop re-dispatches on every advance() call. The timeline
-  // input adds a mid-run link failure and repair under reroute: fault
-  // surgery is driven off the simulation clock, so its events must land
-  // on the same cycles when every cycle is its own advance() call.
+  // the capped loop re-dispatches on every advance() call. Each input
+  // carries different state across the pause:
+  //   - a mid-run link failure and repair under reroute: fault surgery is
+  //     driven off the simulation clock, so its events must land on the
+  //     same cycles when every cycle is its own advance() call;
+  //   - RC: staged permission requests and busy-unit deltas;
+  //   - BL application traffic: the per-cycle polling injection path;
+  //   - counter-mode deft_random: the cap skips the next cycle's injection
+  //     draw and its route preparation.
   SimKnobs knobs;
   knobs.warmup = 40;
   knobs.measure = 90;
@@ -181,22 +204,50 @@ TEST(SimStepper, SingleCycleCapsMatchOneShotRun) {
   FaultTimeline fail_repair;
   fail_repair.add_transient(ctx4().topo().vl(2).down_vl_channel(), 60, 110);
 
-  const FaultTimeline* const timelines[] = {nullptr, &fail_repair};
-  for (const FaultTimeline* timeline : timelines) {
-    SCOPED_TRACE(timeline == nullptr ? "no timeline" : "fail + repair");
-    const auto alg_ref = ctx4().make_algorithm(Algorithm::deft);
-    const auto traffic_ref = make_traffic(ctx4().topo(), "uniform", 0.02);
-    Simulator ref(ctx4().topo(), *alg_ref, *traffic_ref, knobs, {}, timeline,
+  struct CapCase {
+    const char* name;
+    Algorithm algorithm;
+    VlStrategy strategy;
+    bool application;  ///< BL application traffic instead of uniform 0.02
+    RngMode rng_mode;
+    const FaultTimeline* timeline;
+  };
+  const CapCase cases[] = {
+      {"deft", Algorithm::deft, VlStrategy::table, false, RngMode::serial,
+       nullptr},
+      {"deft fail + repair", Algorithm::deft, VlStrategy::table, false,
+       RngMode::serial, &fail_repair},
+      {"rc", Algorithm::rc, VlStrategy::table, false, RngMode::serial,
+       nullptr},
+      {"bl application", Algorithm::deft, VlStrategy::table, true,
+       RngMode::serial, nullptr},
+      {"deft_random counter", Algorithm::deft, VlStrategy::random, false,
+       RngMode::counter, nullptr},
+  };
+  const auto make_traffic_for = [](const CapCase& c) {
+    return c.application ? application_traffic()
+                         : make_traffic(ctx4().topo(), "uniform", 0.02);
+  };
+  for (const CapCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    SimKnobs k = knobs;
+    k.rng_mode = c.rng_mode;
+    const auto alg_ref = ctx4().make_algorithm(c.algorithm, {}, k.num_vcs,
+                                               c.strategy);
+    const auto traffic_ref = make_traffic_for(c);
+    Simulator ref(ctx4().topo(), *alg_ref, *traffic_ref, k, {}, c.timeline,
                   InFlightPolicy::reroute);
     const SimResults expected = ref.run();
-    if (timeline != nullptr) {
+    EXPECT_GT(expected.packets_created, 0u);
+    if (c.timeline != nullptr) {
       EXPECT_GT(expected.fault_window_created, 0u);
     }
 
-    const auto alg_step = ctx4().make_algorithm(Algorithm::deft);
-    const auto traffic_step = make_traffic(ctx4().topo(), "uniform", 0.02);
-    Simulator sim(ctx4().topo(), *alg_step, *traffic_step, knobs, {},
-                  timeline, InFlightPolicy::reroute);
+    const auto alg_step = ctx4().make_algorithm(c.algorithm, {}, k.num_vcs,
+                                                c.strategy);
+    const auto traffic_step = make_traffic_for(c);
+    Simulator sim(ctx4().topo(), *alg_step, *traffic_step, k, {}, c.timeline,
+                  InFlightPolicy::reroute);
     SimWorkspace ws;
     SimStepper stepper;
     stepper.start(sim, ws);
@@ -386,6 +437,131 @@ TEST(Snapshot, StreamHookFailureIsASnapshotError) {
               std::string::npos)
         << e.what();
   }
+}
+
+/// `image` with the 8-byte field at `at` set to `v`, resealed.
+std::vector<std::uint8_t> with_u64(std::vector<std::uint8_t> image,
+                                   std::size_t at, std::uint64_t v) {
+  set_image_u64(image, at, v);
+  reseal(image);
+  return image;
+}
+
+/// The diagnostic restoring `image` into a fresh run of `s` raises, or ""
+/// when the image restores.
+std::string restore_error(const Scenario& s,
+                          const std::vector<std::uint8_t>& image) {
+  auto run = make_run(s);
+  try {
+    restore_snapshot(image, *run->sim, run->stepper, run->ws);
+  } catch (const SnapshotError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+std::size_t ni_words() { return (ctx4().topo().endpoints().size() + 63) / 64; }
+
+WorklistOffsets worklist_of(const std::vector<std::uint8_t>& image) {
+  const Topology& topo = ctx4().topo();
+  return worklist_offsets(
+      image, ni_words(), static_cast<std::size_t>(topo.num_chiplets()) + 1,
+      static_cast<std::size_t>(topo.num_vl_channels()));
+}
+
+// The cycle indexes NIs by every worklist bit and every injection event,
+// so restore must admit only a worklist the run itself could hold. Each
+// edited image below is checksum-valid.
+
+TEST(Snapshot, WorklistSizedForAnotherNiCountIsRejected) {
+  const std::vector<std::uint8_t> image = snapshot_at(kScenarios[0], 600);
+  const WorklistOffsets at = worklist_of(image);
+  EXPECT_EQ(restore_error(kScenarios[0], image), "");
+  EXPECT_NE(restore_error(kScenarios[0],
+                          with_u64(image, at.busy, ni_words() + 1))
+                .find("worklist size mismatch"),
+            std::string::npos);
+  // A bit past the NI count in the last busy word.
+  const std::size_t num_nis = ctx4().topo().endpoints().size();
+  ASSERT_NE(num_nis % 64, 0u);
+  const std::size_t last = at.busy + 8 * ni_words();
+  EXPECT_NE(restore_error(kScenarios[0],
+                          with_u64(image, last,
+                                   image_u64(image, last) |
+                                       std::uint64_t{1} << (num_nis % 64)))
+                .find("past the NI count"),
+            std::string::npos);
+}
+
+TEST(Snapshot, InjectionModeOfAnotherConfigurationIsRejected) {
+  // The loop state's fifth field says whether injections are pre-drawn; it
+  // follows from the configuration, so an image claiming otherwise is bad.
+  const std::vector<std::uint8_t> image = snapshot_at(kScenarios[0], 600);
+  std::vector<std::uint8_t> polled = image;
+  const std::size_t at = loop_state_offset(image) + 4 * 8;
+  ASSERT_EQ(polled.at(at), 1u);
+  polled[at] = 0;
+  reseal(polled);
+  EXPECT_NE(restore_error(kScenarios[0], polled).find("injection mode"),
+            std::string::npos);
+}
+
+TEST(Snapshot, InjectionEventNamingAMissingNiIsRejected) {
+  // Such an image used to restore; the first advance() then set a wake bit
+  // far out of bounds.
+  const std::vector<std::uint8_t> image = snapshot_at(kScenarios[0], 600);
+  const WorklistOffsets at = worklist_of(image);
+  const std::uint64_t events = image_u64(image, at.events);
+  ASSERT_GT(events, 0u);
+  const std::size_t last_ni = at.events + 16 * events;
+  EXPECT_NE(restore_error(kScenarios[0], with_u64(image, last_ni, 100000))
+                .find("names NI 100000"),
+            std::string::npos);
+}
+
+TEST(Snapshot, InjectionEventBeforeThePausedCycleIsRejected) {
+  const std::vector<std::uint8_t> image = snapshot_at(kScenarios[0], 600);
+  const WorklistOffsets at = worklist_of(image);
+  const std::uint64_t events = image_u64(image, at.events);
+  ASSERT_GT(events, 0u);
+  const std::size_t last_cycle = at.events + 16 * events - 8;
+  EXPECT_NE(restore_error(kScenarios[0], with_u64(image, last_cycle, 599))
+                .find("precedes the paused cycle 600"),
+            std::string::npos);
+}
+
+TEST(Snapshot, InjectionEventsOutOfHeapOrderAreRejected) {
+  // The heap's root is its earliest event; a later root breaks the order
+  // the draw pops events in.
+  const std::vector<std::uint8_t> image = snapshot_at(kScenarios[0], 600);
+  const WorklistOffsets at = worklist_of(image);
+  ASSERT_GE(image_u64(image, at.events), 2u);
+  EXPECT_NE(restore_error(kScenarios[0],
+                          with_u64(image, at.events + 8, 4999))
+                .find("do not form a heap"),
+            std::string::npos);
+}
+
+TEST(Snapshot, PollingImageIsIndependentOfTheWorkspaceHistory) {
+  // Application traffic polls its NIs, yet its image carries the NI
+  // worklist too. A workspace that last ran a saturated lookahead run
+  // (busy NIs at its end) must write the same image as a fresh one.
+  const std::vector<std::uint8_t> fresh = snapshot_at(kApplication, 700);
+  auto run = make_run(kApplication);
+  {
+    SimKnobs knobs;
+    knobs.warmup = 50;
+    knobs.measure = 200;
+    knobs.drain_max = 100;
+    const auto algorithm = ctx4().make_algorithm(Algorithm::deft);
+    UniformTraffic saturated(ctx4().topo(), 0.3);
+    Simulator warm(ctx4().topo(), *algorithm, saturated, knobs);
+    EXPECT_FALSE(warm.run(run->ws).drained);
+  }
+  run->stepper.start(*run->sim, run->ws);
+  run->stepper.advance(700);
+  EXPECT_EQ(save_snapshot(run->stepper), fresh);
+  EXPECT_EQ(restore_error(kApplication, fresh), "");
 }
 
 TEST(Snapshot, TruncatedImageIsRejected) {

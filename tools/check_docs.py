@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Validate intra-repo markdown links and docs reachability.
+"""Validate intra-repo markdown links, docs reachability and code symbols.
 
-Two checks, run over every tracked *.md file in the repository:
+Three checks. The first two run over every *.md file in the repository:
 
 1. **Link resolution** — every relative (intra-repo) markdown link must
    point at a file or directory that exists. External links (http/https/
@@ -13,17 +13,26 @@ Two checks, run over every tracked *.md file in the repository:
    nobody links to is dead weight: either link it from the docs map in
    README.md (directly or via another reachable page) or delete it.
 
-Exit codes:
-  0  all links resolve and every docs/*.md page is reachable
-  1  at least one broken link or unreachable docs page (each problem is
-     printed with its file and line number)
+3. **Code symbols** - in README.md and docs/*.md, every backticked
+   `Type::member` reference (a CamelCase type, so `std::` and other
+   namespaces are skipped) must name identifiers that both occur in the
+   tracked C++/Python sources (`git ls-files`). A struct or member that
+   was renamed or deleted leaves its reference unresolved.
 
-No dependencies beyond the Python standard library; CI runs it without
-building anything (the "doc-check" job in .github/workflows/ci.yml).
+Exit codes:
+  0  all links resolve, every docs/*.md page is reachable and every
+     Type::member reference resolves
+  1  at least one broken link, unreachable docs page or unresolved
+     reference (each problem is printed with its file and line number)
+
+No dependencies beyond the Python standard library and git; CI runs it
+without building anything (the "doc-check" job in
+.github/workflows/ci.yml).
 """
 
 import os
 import re
+import subprocess
 import sys
 
 #: Inline markdown links: [text](target). Images ![alt](target) match
@@ -38,6 +47,16 @@ EXTERNAL_RE = re.compile(r"^[a-zA-Z][a-zA-Z0-9+.-]*:")
 #: Directories never scanned for markdown (build trees, VCS internals).
 SKIP_DIRS = {".git", "build", ".github"}
 
+#: Fenced code blocks and inline code spans.
+FENCE_RE = re.compile(r"^(```|~~~).*?^\1\s*$", re.DOTALL | re.MULTILINE)
+INLINE_CODE_RE = re.compile(r"`[^`\n]*`")
+
+#: A qualified C++ name inside inline code: Type::member.
+SYMBOL_RE = re.compile(r"\b([A-Z]\w*)::([A-Za-z_]\w*)")
+
+#: Sources whose identifiers the documented symbols must name.
+SOURCE_PATTERNS = ("*.cpp", "*.hpp", "*.h", "*.py")
+
 
 def find_markdown_files(root):
     found = []
@@ -51,18 +70,39 @@ def find_markdown_files(root):
     return sorted(found)
 
 
+def blank(match):
+    """A match's text with every character but newlines blanked."""
+    return re.sub(r"[^\n]", " ", match.group(0))
+
+
 def strip_code(text):
     """Blanks out fenced and inline code so example links are not checked.
 
     Line structure is preserved (newlines survive) so reported line
     numbers stay correct.
     """
-    def blank(match):
-        return re.sub(r"[^\n]", " ", match.group(0))
+    return INLINE_CODE_RE.sub(blank, FENCE_RE.sub(blank, text))
 
-    text = re.sub(r"^(```|~~~).*?^\1\s*$", blank, text,
-                  flags=re.DOTALL | re.MULTILINE)
-    return re.sub(r"`[^`\n]*`", blank, text)
+
+def inline_code(md_text):
+    """Yields (line_number, code) for every inline code span outside
+    fenced blocks."""
+    lines = FENCE_RE.sub(blank, md_text).splitlines()
+    for line_no, line in enumerate(lines, 1):
+        for match in INLINE_CODE_RE.finditer(line):
+            yield line_no, match.group(0)[1:-1]
+
+
+def source_identifiers(root):
+    """Every identifier occurring in the tracked C++ and Python sources."""
+    listed = subprocess.run(["git", "ls-files", *SOURCE_PATTERNS], cwd=root,
+                            capture_output=True, text=True, check=True)
+    names = set()
+    for rel in listed.stdout.splitlines():
+        with open(os.path.join(root, rel), encoding="utf-8",
+                  errors="replace") as f:
+            names.update(re.findall(r"[A-Za-z_]\w*", f.read()))
+    return names
 
 
 def extract_links(md_text):
@@ -118,6 +158,24 @@ def main():
             problems.append(f"{path}: not reachable from README.md via "
                             f"markdown links - add it to the docs map")
 
+    identifiers = source_identifiers(root)
+    symbols = 0
+    for path in md_files:
+        if path != "README.md" and not path.startswith("docs" + os.sep):
+            continue
+        with open(os.path.join(root, path), encoding="utf-8") as f:
+            text = f.read()
+        for line_no, code in inline_code(text):
+            for match in SYMBOL_RE.finditer(code):
+                symbols += 1
+                missing = [name for name in match.groups()
+                           if name not in identifiers]
+                if missing:
+                    problems.append(
+                        f"{path}:{line_no}: `{match.group(0)}` names "
+                        f"{', '.join(missing)}, found in no tracked "
+                        f"C++/Python source")
+
     if problems:
         print(f"{len(problems)} documentation problem(s):", file=sys.stderr)
         for problem in problems:
@@ -126,7 +184,7 @@ def main():
     docs_pages = sum(1 for p in md_files if p.startswith("docs" + os.sep))
     print(f"doc-check: {len(md_files)} markdown files, all intra-repo "
           f"links resolve, {docs_pages} docs pages reachable from "
-          f"README.md")
+          f"README.md, {symbols} Type::member references resolve")
     return 0
 
 
