@@ -44,26 +44,14 @@ void Network::reset(const Topology& topo, RoutingAlgorithm& algorithm,
     lane.active.assign(words, 0);
     lane.flits_buffered = 0;
     lane.moves = 0;
+    lane.rc_departures.clear();
+    lane.rc_out_credits.clear();
   }
-  staged_arrivals_.resize(shards * shards);
-  staged_credits_.resize(shards * shards);
-  staged_ejections_.resize(shards * shards);
-  rc_departures_.resize(shards);
-  staged_rc_out_credits_.resize(shards);
-  for (auto& v : staged_arrivals_) {
-    v.clear();
-  }
-  for (auto& v : staged_credits_) {
-    v.clear();
-  }
-  for (auto& v : staged_ejections_) {
-    v.clear();
-  }
-  for (auto& v : rc_departures_) {
-    v.clear();
-  }
-  for (auto& v : staged_rc_out_credits_) {
-    v.clear();
+  outboxes_.resize(shards * shards);
+  for (Outbox& box : outboxes_) {
+    box.arrivals.clear();
+    box.credits.clear();
+    box.ejections.clear();
   }
 
   // Output credits mirror the downstream input buffer; local (ejection)
@@ -112,7 +100,7 @@ void Network::inject_local(NodeId node, int vc, const Flit& flit) {
   check(local_credit_[index(node, vc)] > 0, "inject_local: no credit");
   --local_credit_[index(node, vc)];
   const int s = shard_of(node);  // the NI's shard: producer == consumer
-  staged_arrivals_[box(s, s)].push_back(
+  outboxes_[box(s, s)].arrivals.push_back(
       {node, static_cast<std::uint8_t>(Port::local),
        static_cast<std::uint8_t>(vc), stamp_kind(flit)});
 }
@@ -121,13 +109,13 @@ void Network::inject_rc(NodeId node, int vc, const Flit& flit) {
   check(rc_in_credit_[index(node, vc)] > 0, "inject_rc: no credit");
   --rc_in_credit_[index(node, vc)];
   const int s = shard_of(node);
-  staged_arrivals_[box(s, s)].push_back(
+  outboxes_[box(s, s)].arrivals.push_back(
       {node, static_cast<std::uint8_t>(Port::rc),
        static_cast<std::uint8_t>(vc), stamp_kind(flit)});
 }
 
 void Network::add_rc_out_credits(NodeId node, int credits) {
-  staged_rc_out_credits_[static_cast<std::size_t>(shard_of(node))].push_back(
+  lanes_[static_cast<std::size_t>(shard_of(node))].rc_out_credits.push_back(
       {node, credits});
 }
 

@@ -160,12 +160,11 @@ class Network {
   /// manager-wide RC state and so stay out of the parallel commit).
   template <class Sink>
   void drain_rc_departures(Cycle now, Sink& sink) {
-    for (int p = 0; p < num_shards_; ++p) {
-      for (const Departure& d :
-           rc_departures_[static_cast<std::size_t>(p)]) {
+    for (ShardLane& lane : lanes_) {
+      for (const Departure& d : lane.rc_departures) {
         sink.rc_absorb(d.node, d.flit, now);
       }
-      rc_departures_[static_cast<std::size_t>(p)].clear();
+      lane.rc_departures.clear();
     }
   }
 
@@ -260,6 +259,21 @@ class Network {
     std::vector<std::uint64_t> active;
     std::uint64_t flits_buffered = 0;
     std::uint64_t moves = 0;
+    /// RC-unit absorptions this shard's step staged (drained serially).
+    std::vector<Departure> rc_departures;
+    /// RC output credits for this shard's routers (staged serially).
+    std::vector<std::pair<NodeId, int>> rc_out_credits;
+  };
+
+  /// One producer's staged moves for one consumer shard. Arrivals and
+  /// credit returns are keyed by the router they land on, ejections by
+  /// the ejecting router. Cache-line aligned like ShardLane: every push
+  /// rewrites a vector header, and producers writing neighbouring boxes
+  /// must not share its line.
+  struct alignas(64) Outbox {
+    std::vector<Arrival> arrivals;
+    std::vector<CreditReturn> credits;
+    std::vector<Departure> ejections;
   };
 
   std::size_t index(NodeId node, int vc) const {
@@ -304,17 +318,8 @@ class Network {
   std::vector<int> local_credit_;  ///< NI-visible credits per (node, vc)
   std::vector<int> rc_in_credit_;  ///< RC-unit-visible credits per (node, vc)
 
-  std::vector<ShardLane> lanes_;  ///< one per shard
-
-  // Staging outboxes, indexed box(producer, consumer). Arrivals and
-  // credit returns are keyed by the router they land on; ejections by
-  // the ejecting router. RC departures and RC output credits have one
-  // list per producer/consumer respectively (their producers are serial).
-  std::vector<std::vector<Arrival>> staged_arrivals_;
-  std::vector<std::vector<CreditReturn>> staged_credits_;
-  std::vector<std::vector<Departure>> staged_ejections_;
-  std::vector<std::vector<Departure>> rc_departures_;
-  std::vector<std::vector<std::pair<NodeId, int>>> staged_rc_out_credits_;
+  std::vector<ShardLane> lanes_;   ///< one per shard
+  std::vector<Outbox> outboxes_;  ///< indexed box(producer, consumer)
 };
 
 // ---------------------------------------------------------------------------
@@ -494,29 +499,28 @@ void Network::process_router(NodeId node, int shard, Cycle now, Sink& sink) {
       // Return a credit upstream for the freed input slot (the upstream
       // router's shard consumes it).
       if (static_cast<Port>(p) == Port::local) {
-        staged_credits_[box(shard, shard)].push_back(
+        outboxes_[box(shard, shard)].credits.push_back(
             {node, static_cast<std::uint8_t>(Port::local),
              static_cast<std::uint8_t>(c.vc)});
       } else if (static_cast<Port>(p) == Port::rc) {
-        staged_credits_[box(shard, shard)].push_back(
+        outboxes_[box(shard, shard)].credits.push_back(
             {node, static_cast<std::uint8_t>(Port::rc),
              static_cast<std::uint8_t>(c.vc)});
       } else {
         const ChannelId in_ch = topo_->in_channel(node, static_cast<Port>(p));
         check(in_ch != kInvalidChannel, "Network: input port without channel");
         const Channel& ch = topo_->channel(in_ch);
-        staged_credits_[box(shard, shard_of(ch.src))].push_back(
+        outboxes_[box(shard, shard_of(ch.src))].credits.push_back(
             {ch.src, static_cast<std::uint8_t>(ch.src_port),
              static_cast<std::uint8_t>(c.vc)});
       }
 
       const bool is_tail = flit.is_tail();  // stamped at injection
       if (out_port == Port::local) {
-        staged_ejections_[box(shard, shard)].push_back({node, flit});
+        outboxes_[box(shard, shard)].ejections.push_back({node, flit});
       } else if (out_port == Port::rc) {
         --out.credits;
-        rc_departures_[static_cast<std::size_t>(shard)].push_back(
-            {node, flit});
+        lane.rc_departures.push_back({node, flit});
       } else {
         const ChannelId out_ch = topo_->out_channel(node, out_port);
         check(out_ch != kInvalidChannel, "Network: route into missing port");
@@ -529,7 +533,7 @@ void Network::process_router(NodeId node, int shard, Cycle now, Sink& sink) {
         }
         --out.credits;
         const Channel& ch = topo_->channel(out_ch);
-        staged_arrivals_[box(shard, shard_of(ch.dst))].push_back(
+        outboxes_[box(shard, shard_of(ch.dst))].arrivals.push_back(
             {ch.dst, static_cast<std::uint8_t>(ch.dst_port),
              static_cast<std::uint8_t>(c.out_vc), flit});
         sink.traverse(out_ch, c.out_vc);
@@ -551,7 +555,7 @@ template <class Sink>
 void Network::commit_shard(int shard, Cycle now, Sink& sink) {
   ShardLane& lane = lanes_[static_cast<std::size_t>(shard)];
   for (int p = 0; p < num_shards_; ++p) {
-    std::vector<Arrival>& arrivals = staged_arrivals_[box(p, shard)];
+    std::vector<Arrival>& arrivals = outboxes_[box(p, shard)].arrivals;
     for (const Arrival& a : arrivals) {
       RouterState& r = routers_[static_cast<std::size_t>(a.node)];
       const int lane_idx = FlitStore::lane_of(a.port, a.vc);
@@ -567,7 +571,7 @@ void Network::commit_shard(int shard, Cycle now, Sink& sink) {
   }
 
   for (int p = 0; p < num_shards_; ++p) {
-    std::vector<CreditReturn>& credits = staged_credits_[box(p, shard)];
+    std::vector<CreditReturn>& credits = outboxes_[box(p, shard)].credits;
     for (const CreditReturn& c : credits) {
       if (static_cast<Port>(c.port) == Port::local) {
         ++local_credit_[index(c.node, c.vc)];
@@ -582,8 +586,7 @@ void Network::commit_shard(int shard, Cycle now, Sink& sink) {
     credits.clear();
   }
 
-  for (const auto& [node, credits] :
-       staged_rc_out_credits_[static_cast<std::size_t>(shard)]) {
+  for (const auto& [node, credits] : lane.rc_out_credits) {
     // The RC output port is modelled with a single shared credit pool on
     // VC 0 (the RC unit ignores VCs).
     routers_[static_cast<std::size_t>(node)]
@@ -591,10 +594,10 @@ void Network::commit_shard(int shard, Cycle now, Sink& sink) {
             FlitStore::lane_of(port_index(Port::rc), 0))]
         .credits += static_cast<std::int16_t>(credits);
   }
-  staged_rc_out_credits_[static_cast<std::size_t>(shard)].clear();
+  lane.rc_out_credits.clear();
 
   for (int p = 0; p < num_shards_; ++p) {
-    std::vector<Departure>& ejections = staged_ejections_[box(p, shard)];
+    std::vector<Departure>& ejections = outboxes_[box(p, shard)].ejections;
     for (const Departure& d : ejections) {
       sink.eject(d.node, d.flit, now);
     }

@@ -17,10 +17,11 @@
 // one shard, with no worker threads and no rendezvous. With
 // SimKnobs::shards > 1, the active-set core and a lookahead-capable
 // traffic generator, Simulator::run calls them from one worker thread per
-// shard of a chiplet-granular Partition. Results are bit-identical for
-// any shard count (tests/test_sim_sharded.cpp); configurations sharding
-// cannot serve (full-scan core, traffic without lookahead, one-unit
-// partitions) silently execute at one shard.
+// shard of a Partition into 2.5D columns (a chiplet and the interposer
+// beneath it). Results are bit-identical for any shard count
+// (tests/test_sim_sharded.cpp); configurations sharding cannot serve
+// (full-scan core, traffic without lookahead, one-column systems)
+// silently execute at one shard.
 //
 // The cycle visits endpoints through a pending-NI worklist: an NI is
 // visited only when it holds undelivered packets or when its pre-drawn
@@ -94,7 +95,7 @@ struct SimKnobs {
   /// full scan. Results are bit-identical; only wall clock differs.
   SimCore core = SimCore::active_set;
   /// Shard / worker-thread count for the partitioned core: > 1 splits the
-  /// run across that many threads (capped by the partition's unit count).
+  /// run across that many threads (capped by the system's chiplet count).
   /// Results are bit-identical for every value; only wall clock differs.
   /// Sharding requires the active-set core and a lookahead-capable
   /// traffic generator - other configurations run serially.

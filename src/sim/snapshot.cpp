@@ -387,14 +387,18 @@ class SnapshotAccess {
     // credits, which a normal run commits in its first apply(); the saved
     // credit planes already include that commit, so every outbox is
     // discarded before the saved state takes over.
-    outboxes<IO>(net.staged_arrivals_, "arrivals");
-    outboxes<IO>(net.staged_credits_, "credits");
-    outboxes<IO>(net.staged_ejections_, "ejections");
-    outboxes<IO>(net.rc_departures_, "RC departures");
-    outboxes<IO>(net.staged_rc_out_credits_, "RC credits");
+    for (auto& box : net.outboxes_) {
+      staged<IO>(box.arrivals, "arrivals");
+      staged<IO>(box.credits, "credits");
+      staged<IO>(box.ejections, "ejections");
+    }
+    for (auto& lane : net.lanes_) {
+      staged<IO>(lane.rc_departures, "RC departures");
+      staged<IO>(lane.rc_out_credits, "RC credits");
+    }
 
     fixed(io, net.routers_, 100, "snapshot router count mismatch",
-          [&](auto& rs) { walk(io, rs); });
+          [&](auto& rs) { walk(io, rs, net.num_vcs_); });
     fixed(io, net.channel_faulty_, 1, "snapshot channel count mismatch", io);
     fixed(io, net.vl_next_free_, 8, "snapshot VL channel count mismatch", io);
     // The int credit planes are stored as int64.
@@ -410,26 +414,42 @@ class SnapshotAccess {
     fixed(io, net.rc_in_credit_, 8, "snapshot RC credit plane size mismatch",
           credit);
     auto& lane = net.lanes_[0];
-    seq(io, lane.active, 8, io);
+    fixed(io, lane.active, 8, "snapshot router worklist size mismatch", io);
     io(lane.flits_buffered, lane.moves);
-  }
-
-  template <class IO, class Boxes>
-  static void outboxes(Boxes& boxes, const char* kind) {
-    for (auto& box : boxes) {
-      if constexpr (IO::kSaving) {
-        if (!box.empty()) {
-          throw SnapshotError(std::string("save_snapshot: staged ") + kind +
-                              " pending");
+    if constexpr (!IO::kSaving) {
+      // The step visits exactly the marked routers: a mark past the
+      // router count indexes out of bounds, and an occupied router left
+      // unmarked would strand its flits. (A marked empty router is legal:
+      // fault surgery can empty a router between two steps.)
+      const std::size_t routers = net.routers_.size();
+      if (routers % 64 != 0 && (lane.active.back() >> (routers % 64)) != 0) {
+        throw SnapshotError(
+            "snapshot router worklist marks routers past the router count");
+      }
+      for (std::size_t n = 0; n < routers; ++n) {
+        if (net.routers_[n].occupancy != 0 &&
+            ((lane.active[n / 64] >> (n % 64)) & 1) == 0) {
+          throw SnapshotError("snapshot router worklist leaves occupied "
+                              "router " + std::to_string(n) + " unmarked");
         }
-      } else {
-        box.clear();
       }
     }
   }
 
+  template <class IO, class Box>
+  static void staged(Box& box, const char* kind) {
+    if constexpr (IO::kSaving) {
+      if (!box.empty()) {
+        throw SnapshotError(std::string("save_snapshot: staged ") + kind +
+                            " pending");
+      }
+    } else {
+      box.clear();
+    }
+  }
+
   template <class IO>
-  static void walk(IO& io, Ref<IO, RouterState> rs) {
+  static void walk(IO& io, Ref<IO, RouterState> rs, int num_vcs) {
     if constexpr (!IO::kSaving) {
       rs.flits = FlitStore{};
     }
@@ -454,6 +474,55 @@ class SnapshotAccess {
       io(out.owner_port, out.owner_vc, out.credits);
     }
     io(rs.va_ptr, rs.ovc_ptr, rs.sa_ptr, rs.occupancy, rs.owned);
+    if constexpr (!IO::kSaving) {
+      check_router(rs, num_vcs);
+    }
+  }
+
+  /// The next cycle trusts a router's bookkeeping: it walks the occupancy
+  /// bits into lanes, the owned bits into owner fields, and route
+  /// decisions and allocated VCs into per-port and per-VC arrays. Restore
+  /// admits only what a run itself can hold.
+  static void check_router(const RouterState& rs, int num_vcs) {
+    if (rs.occupancy != rs.flits.occupied_mask()) {
+      throw SnapshotError("snapshot router occupancy disagrees with its "
+                          "lane fill counts");
+    }
+    std::uint64_t configured_lanes = 0;
+    for (int port = 0; port < kNumPorts; ++port) {
+      configured_lanes |= ((std::uint64_t{1} << num_vcs) - 1)
+                          << FlitStore::lane_of(port, 0);
+    }
+    if ((rs.occupancy & ~configured_lanes) != 0) {
+      throw SnapshotError(
+          "snapshot router buffers flits on an unconfigured VC");
+    }
+    for (int lane = 0; lane < kNumLanes; ++lane) {
+      const InputVcState& in = rs.in[static_cast<std::size_t>(lane)];
+      if (port_index(in.decision.out_port) >= kNumPorts) {
+        throw SnapshotError(
+            "snapshot route decision names port " +
+            std::to_string(port_index(in.decision.out_port)));
+      }
+      if (in.out_vc < -1 || in.out_vc >= num_vcs) {
+        throw SnapshotError("snapshot input VC holds output VC " +
+                            std::to_string(in.out_vc) + " of " +
+                            std::to_string(num_vcs));
+      }
+      const OutputVc& out = rs.out[static_cast<std::size_t>(lane)];
+      const bool owned = ((rs.owned >> lane) & 1) != 0;
+      if (owned != (out.owner_port >= 0)) {
+        throw SnapshotError(
+            "snapshot owned-output bit disagrees with its owner");
+      }
+      const bool in_range =
+          owned ? out.owner_port < kNumPorts && out.owner_vc >= 0 &&
+                      out.owner_vc < num_vcs && lane % kMaxVcs < num_vcs
+                : out.owner_port == -1 && out.owner_vc == -1;
+      if (!in_range) {
+        throw SnapshotError("snapshot output VC owner out of range");
+      }
+    }
   }
 
   template <class IO>

@@ -1,114 +1,101 @@
 #include "topology/partition.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <cstdint>
+#include <numeric>
+#include <ranges>
+#include <utility>
 
 namespace deft {
+namespace {
+
+/// Manhattan distance from interposer cell `at` to `ch`'s footprint.
+int footprint_distance(const ChipletSpec& ch, Coord at) {
+  const int dx = std::max(
+      {ch.origin.x - at.x, 0, at.x - (ch.origin.x + ch.width - 1)});
+  const int dy = std::max(
+      {ch.origin.y - at.y, 0, at.y - (ch.origin.y + ch.height - 1)});
+  return dx + dy;
+}
+
+}  // namespace
 
 void Partition::build(const Topology& topo, int target_shards) {
   num_shards_ = 1;
   shard_of_.clear();
   node_count_.assign(1, topo.num_nodes());
-  if (target_shards <= 1 || topo.num_nodes() <= 1) {
+  const int columns = topo.num_chiplets();
+  if (std::min(target_shards, columns) <= 1) {
     return;
   }
+  const std::vector<ChipletSpec>& chiplets = topo.spec().chiplets;
 
-  // --- Units: one per chiplet mesh, plus the interposer split into a
-  // 2D grid of contiguous blocks when it exceeds the per-shard node
-  // budget. The block grid (bx x by) approximates square tiles -
-  // by ~ sqrt(t * H / W) balances the aspect ratio - because a square
-  // tile cuts the fewest mesh channels per owned router, and cut
-  // channels are exactly the cross-shard staging traffic.
-  int interposer_nodes = 0;
-  for (NodeId n = 0; n < topo.num_nodes(); ++n) {
-    if (topo.node(n).chiplet == kInterposer) {
-      ++interposer_nodes;
+  // --- Columns. Until the walk is cut, shard_of_ holds each router's
+  // column (chiplet index): a chiplet's routers and the interposer routers
+  // beneath them, then every margin router by its nearest footprint.
+  shard_of_.assign(static_cast<std::size_t>(topo.num_nodes()), -1);
+  for (int c = 0; c < columns; ++c) {
+    for (NodeId n : topo.chiplet_nodes(c)) {
+      const Coord at = topo.node(n).global;
+      shard_of_[static_cast<std::size_t>(n)] = c;
+      shard_of_[static_cast<std::size_t>(
+          topo.interposer_node_at(at.x, at.y))] = c;
     }
   }
-  const int ideal =
-      (topo.num_nodes() + target_shards - 1) / target_shards;
-  const int height = topo.spec().interposer_height;
-  const int width = topo.spec().interposer_width;
-  const int tiles = interposer_nodes == 0
-                        ? 0
-                        : std::clamp((interposer_nodes + ideal - 1) / ideal,
-                                     1, target_shards);
-  int by = 0;
-  int bx = 0;
-  if (tiles > 0) {
-    by = std::clamp(
-        static_cast<int>(std::lround(
-            std::sqrt(static_cast<double>(tiles) * height / width))),
-        1, std::min(tiles, height));
-    bx = std::clamp((tiles + by - 1) / by, 1, width);
+  column_.assign(static_cast<std::size_t>(columns), 0);
+  for (NodeId n = 0; n < topo.num_nodes(); ++n) {
+    int& column = shard_of_[static_cast<std::size_t>(n)];
+    if (column < 0) {
+      column = *std::ranges::min_element(
+          std::views::iota(0, columns), {}, [&](int c) {
+            return footprint_distance(chiplets[static_cast<std::size_t>(c)],
+                                      topo.node(n).global);
+          });
+    }
+    ++column_[static_cast<std::size_t>(column)];
   }
-  const int blocks = bx * by;
 
-  units_.clear();
-  for (int c = 0; c < topo.num_chiplets(); ++c) {
-    units_.push_back(
-        {static_cast<int>(topo.chiplet_nodes(c).size()), c, 0});
-  }
-  // Block (i, j) covers interposer columns [i*W/bx, (i+1)*W/bx) and rows
-  // [j*H/by, (j+1)*H/by); the flat index is row-major.
-  const auto block_of = [&](int x, int y) {
-    return (y * by / height) * bx + (x * bx / width);
+  // --- The serpentine walk: rows by top edge, odd rows reversed.
+  const auto origin = [&](int c) {
+    const Coord o = chiplets[static_cast<std::size_t>(c)].origin;
+    return std::pair(o.y, o.x);
   };
-  for (int b = 0; b < blocks; ++b) {
-    units_.push_back({0, kInterposer, b});
-  }
-  if (blocks > 0) {
-    for (NodeId n = 0; n < topo.num_nodes(); ++n) {
-      const Node& node = topo.node(n);
-      if (node.chiplet == kInterposer) {
-        ++units_[static_cast<std::size_t>(
-                     topo.num_chiplets() +
-                     block_of(node.global.x, node.global.y))]
-              .size;
-      }
+  walk_.resize(static_cast<std::size_t>(columns));
+  std::iota(walk_.begin(), walk_.end(), 0);
+  std::ranges::sort(walk_, {}, origin);
+  bool reversed = false;
+  for (auto row = walk_.begin(); row != walk_.end(); reversed = !reversed) {
+    const int top = origin(*row).first;
+    const auto end = std::find_if(
+        row, walk_.end(), [&](int c) { return origin(c).first != top; });
+    if (reversed) {
+      std::reverse(row, end);
     }
+    row = end;
   }
 
-  // --- Deterministic LPT bin packing: largest unit first onto the
-  // least-loaded shard (ties: earlier unit, lower shard index).
-  const int shards =
-      std::min<int>(target_shards, static_cast<int>(units_.size()));
-  if (shards <= 1) {
-    return;
-  }
-  std::vector<std::size_t> order(units_.size());
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    order[i] = i;
-  }
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return units_[a].size > units_[b].size;
-                   });
-  node_count_.assign(static_cast<std::size_t>(shards), 0);
-  unit_shard_.assign(units_.size(), 0);
-  for (std::size_t i : order) {
-    int best = 0;
-    for (int s = 1; s < shards; ++s) {
-      if (node_count_[static_cast<std::size_t>(s)] <
-          node_count_[static_cast<std::size_t>(best)]) {
-        best = s;
-      }
+  // --- Cut the walk: each column joins the run holding the midpoint of
+  // its routers along the walk; column_ turns from sizes into shards.
+  const std::int64_t total = topo.num_nodes();
+  const std::int64_t shards = std::min(target_shards, columns);
+  std::int64_t before = 0;
+  std::int64_t last = -1;
+  int run = -1;
+  for (int c : walk_) {
+    int& column = column_[static_cast<std::size_t>(c)];
+    const std::int64_t at = (2 * before + column) * shards / (2 * total);
+    before += column;
+    if (at != last) {
+      ++run;
+      last = at;
     }
-    unit_shard_[i] = best;
-    node_count_[static_cast<std::size_t>(best)] += units_[i].size;
+    column = run;
   }
-
-  num_shards_ = shards;
-  shard_of_.assign(static_cast<std::size_t>(topo.num_nodes()), 0);
-  for (NodeId n = 0; n < topo.num_nodes(); ++n) {
-    const Node& node = topo.node(n);
-    const std::size_t unit =
-        node.chiplet == kInterposer
-            ? static_cast<std::size_t>(
-                  topo.num_chiplets() +
-                  block_of(node.global.x, node.global.y))
-            : static_cast<std::size_t>(node.chiplet);
-    shard_of_[static_cast<std::size_t>(n)] = unit_shard_[unit];
+  num_shards_ = run + 1;
+  node_count_.assign(static_cast<std::size_t>(num_shards_), 0);
+  for (int& s : shard_of_) {
+    s = column_[static_cast<std::size_t>(s)];
+    ++node_count_[static_cast<std::size_t>(s)];
   }
 }
 

@@ -7,15 +7,24 @@
 // cross-shard arrivals and credit returns - so the partition's job is to
 // keep shards balanced while cutting few channels.
 //
-// The default construction is chiplet-granular, which the 2.5D structure
-// makes natural: each chiplet mesh is one unit (all cross-boundary
-// traffic funnels through its handful of vertical links), and the
-// interposer mesh is split into a 2D grid of contiguous blocks when it
-// is large relative to the per-shard budget. Units are packed onto shards
-// with a deterministic longest-processing-time greedy, so the same
-// (topology, target) pair always produces the same partition - a
-// prerequisite for the sharded core's bit-identical-to-serial contract,
-// which holds for *any* partition; balance only affects wall clock.
+// The unit is the 2.5D *column*: one chiplet plus every interposer router
+// inside its footprint, so no vertical link ever crosses a column (a VL
+// joins a boundary router to the interposer router directly beneath it).
+// Interposer routers outside every footprint join the nearest footprint's
+// column, the lowest chiplet index on a tie. Shards are runs of a
+// serpentine walk over the columns - rows of chiplets (sharing a top
+// edge) top to bottom, every other row right to left - so on a chiplet
+// grid every shard is one contiguous region. Each column joins the run
+// holding the midpoint of its routers along the walk, which keeps every
+// shard within one column of the ideal router count. The partition is a
+// pure function of (topology, target): the sharded core's
+// bit-identical-to-serial contract holds for *any* partition, and
+// balance only affects wall clock.
+//
+// A system runs at most one shard per column: the 4-chiplet reference
+// system at most 4, whatever `shards` asks for. Very unequal columns can
+// leave a run without a column midpoint; that run is dropped, not kept
+// as an empty shard.
 #pragma once
 
 #include <vector>
@@ -31,8 +40,8 @@ class Partition {
 
   /// (Re)computes the partition for `topo` with at most `target_shards`
   /// shards, reusing prior allocations. The effective shard count may be
-  /// lower: it never exceeds the number of units (chiplets + interposer
-  /// blocks), and a target of <= 1 yields the trivial partition.
+  /// lower (see the header comment): it never exceeds the number of
+  /// columns, and a target of <= 1 yields the trivial partition.
   void build(const Topology& topo, int target_shards);
 
   int num_shards() const { return num_shards_; }
@@ -54,13 +63,8 @@ class Partition {
   std::vector<int> node_count_;  ///< shard -> owned routers
 
   // build() scratch, kept for allocation-free rebuilds.
-  struct Unit {
-    int size = 0;      ///< routers in the unit
-    int chiplet = 0;   ///< chiplet index, or kInterposer for a block
-    int block = 0;     ///< block index within the interposer grid
-  };
-  std::vector<Unit> units_;
-  std::vector<int> unit_shard_;
+  std::vector<int> column_;  ///< chiplet -> its column's routers, then shard
+  std::vector<int> walk_;    ///< chiplets in serpentine order
 };
 
 /// Convenience wrapper over Partition::build.

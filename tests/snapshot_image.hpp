@@ -104,4 +104,52 @@ inline WorklistOffsets worklist_offsets(const std::vector<std::uint8_t>& image,
   throw std::runtime_error("snapshot image holds no NI worklist");
 }
 
+/// One router record in an image with an empty network (a run paused at
+/// cycle 1, before its first packet): 32 lane fill counts, all 0, 32
+/// input-VC records (route-ready flag, decision port, decision VC mask,
+/// allocated output VC), 32 output-VC records (owner port, owner VC,
+/// 2-byte credits), the three 8-port round-robin pointer arrays, the
+/// 8-byte occupancy word and the 4-byte owned-output word. A buffered
+/// flit adds 7 bytes after its lane's count (4-byte packet id, 2-byte
+/// sequence number, kind byte).
+inline constexpr std::size_t kRouterInputVcs = 32;
+inline constexpr std::size_t kRouterOutputVcs = kRouterInputVcs + 32 * 4;
+inline constexpr std::size_t kRouterOccupancy =
+    kRouterOutputVcs + 32 * 4 + 3 * 8;
+inline constexpr std::size_t kRouterOwned = kRouterOccupancy + 8;
+inline constexpr std::size_t kEmptyRouterBytes = kRouterOwned + 4;
+inline constexpr std::size_t kFlitBytes = 7;
+
+/// Offsets of the network's router plane in an empty-network image.
+struct RouterPlaneOffsets {
+  std::size_t routers;  ///< router 0's record (after the 8-byte count)
+  std::size_t active;   ///< the active-router worklist's word count
+};
+
+/// Locates the router plane from the front of an empty-network image.
+/// The loop state is followed by the algorithm's and the traffic
+/// generator's stream words and the packet table: route and packet
+/// counts, both 0 before the first packet (the timestamp plane has no
+/// count of its own). After the
+/// routers come four length-prefixed planes - channel fault marks (1 byte
+/// each), VL next-free cycles, NI credits and RC credits (8 bytes each) -
+/// and then the worklist.
+inline RouterPlaneOffsets empty_router_plane(
+    const std::vector<std::uint8_t>& image) {
+  std::size_t at = algorithm_stream_count_offset(image);
+  at += 8 + 8 * image_u64(image, at);
+  at += 8 + 8 * image_u64(image, at);
+  if (image_u64(image, at) != 0 || image_u64(image, at + 8) != 0) {
+    throw std::runtime_error("snapshot image holds packets");
+  }
+  at += 16;
+  const std::size_t first = at + 8;
+  at = first + image_u64(image, at) * kEmptyRouterBytes;
+  at += 8 + image_u64(image, at);
+  for (int i = 0; i < 3; ++i) {
+    at += 8 + 8 * image_u64(image, at);
+  }
+  return {first, at};
+}
+
 }  // namespace deft

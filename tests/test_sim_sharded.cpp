@@ -5,8 +5,9 @@
 // fault scenario - arbitration, RNG consumption and RC permission order
 // all unchanged. Three layers of protection:
 //
-//  1. Partition sanity: the chiplet-granular partition is deterministic,
-//     covers every router exactly once, balances within a unit, and
+//  1. Partition sanity: the column partition is deterministic, covers
+//     every router exactly once, keeps every vertical link inside one
+//     shard, cuts contiguous regions balanced within one column, and
 //     degrades to the trivial partition when asked for one shard.
 //
 //  2. Golden digests: sharded runs must reproduce the exact digests the
@@ -21,6 +22,9 @@
 //     *differing* shard counts and the serial fallbacks (full-scan core,
 //     non-lookahead traffic).
 #include <gtest/gtest.h>
+
+#include <cstdlib>
+#include <vector>
 
 #include "core/runner.hpp"
 #include "sim_results_checks.hpp"
@@ -64,8 +68,8 @@ TEST(Partition, TrivialWhenOneShardRequested) {
 
 TEST(Partition, CoversEveryRouterAndBalancesTheReferenceSystem) {
   // The 4-chiplet system: 4 chiplets x 16 routers + an 8x8 interposer.
-  // At 4 shards the interposer splits into two 32-router bands and LPT
-  // packs everything into four 32-router shards.
+  // At 4 shards each column - a chiplet and the 16 interposer routers
+  // beneath it - is one 32-router shard.
   const Topology& topo = ctx4().topo();
   const Partition p = make_partition(topo, 4);
   ASSERT_EQ(p.num_shards(), 4);
@@ -99,20 +103,106 @@ TEST(Partition, IsChipletGranularAndDeterministic) {
   }
 }
 
-TEST(Partition, CapsShardsAtTheUnitCount) {
-  // The heterogeneous two-chiplet system has 2 chiplets + a small
-  // interposer: far fewer units than 16 requested shards (the interposer
-  // 2D block grid can never exceed one block per router).
+TEST(Partition, CapsShardsAtTheColumnCount) {
+  // The heterogeneous two-chiplet system has two columns, so 16 requested
+  // shards run as 2. Its 6x4 interposer has an 11-router margin outside
+  // both footprints, which joins the nearer column (the 3x3 chiplet's on
+  // a tie): 9 + 9 + 7 routers in one shard, 4 + 4 + 4 in the other.
   const Topology topo(make_two_chiplet_spec());
   const Partition p = make_partition(topo, 16);
-  EXPECT_GT(p.num_shards(), 1);
-  EXPECT_LE(p.num_shards(),
-            2 + topo.spec().interposer_width * topo.spec().interposer_height);
-  int total = 0;
-  for (int s = 0; s < p.num_shards(); ++s) {
-    total += p.shard_node_count(s);
+  ASSERT_EQ(p.num_shards(), 2);
+  EXPECT_EQ(p.shard_node_count(0), 25);
+  EXPECT_EQ(p.shard_node_count(1), 12);
+  EXPECT_EQ(p.shard_of(topo.interposer_node_at(3, 3)), 0);
+  EXPECT_EQ(p.shard_of(topo.interposer_node_at(5, 0)), 1);
+  for (const VerticalLink& vl : topo.vls()) {
+    EXPECT_EQ(p.shard_of(vl.chiplet_node), p.shard_of(vl.interposer_node));
   }
-  EXPECT_EQ(total, topo.num_nodes());
+}
+
+/// The systems and shard counts the partition contract is checked on:
+/// 4x4, 6x6 and 8x8 grids of 4x4 chiplets at 2, 4 and 8 shards, and the
+/// paper's reference systems at 2 and 3.
+struct PartitionCase {
+  const char* name;
+  SystemSpec spec;
+  std::vector<int> shards;
+};
+
+std::vector<PartitionCase> partition_cases() {
+  return {
+      {"grid16", make_grid_spec(4, 4, 4, 4), {2, 4, 8}},
+      {"grid36", make_grid_spec(6, 6, 4, 4), {2, 4, 8}},
+      {"grid64", make_grid_spec(8, 8, 4, 4), {2, 4, 8}},
+      {"ref4", make_reference_spec(4), {2, 3}},
+      {"ref6", make_reference_spec(6), {2, 3}},
+  };
+}
+
+TEST(Partition, NoVerticalLinkCrossesShards) {
+  // A chiplet reaches the interposer only through its VLs, so a column
+  // partition never stages a VL flit or credit across shards.
+  for (const PartitionCase& c : partition_cases()) {
+    const Topology topo(c.spec);
+    for (int shards : c.shards) {
+      SCOPED_TRACE(::testing::Message() << c.name << "/shards" << shards);
+      const Partition p = make_partition(topo, shards);
+      ASSERT_EQ(p.num_shards(), shards);
+      for (const VerticalLink& vl : topo.vls()) {
+        EXPECT_EQ(p.shard_of(vl.chiplet_node),
+                  p.shard_of(vl.interposer_node));
+      }
+    }
+  }
+}
+
+TEST(Partition, ShardsAreContiguousAndBalancedWithinOneColumn) {
+  // Each shard is non-empty, holds the ideal router count give or take
+  // one column (a chiplet and the interposer beneath it: twice the
+  // chiplet's routers on these systems), and is one connected region of
+  // the router graph, so its only cut channels lie on its border.
+  for (const PartitionCase& c : partition_cases()) {
+    const Topology topo(c.spec);
+    const int column = 2 * static_cast<int>(topo.chiplet_nodes(0).size());
+    for (int shards : c.shards) {
+      SCOPED_TRACE(::testing::Message() << c.name << "/shards" << shards);
+      const Partition p = make_partition(topo, shards);
+      ASSERT_EQ(p.num_shards(), shards);
+      for (int s = 0; s < shards; ++s) {
+        const int count = p.shard_node_count(s);
+        EXPECT_GT(count, 0);
+        EXPECT_LE(std::abs(count * shards - topo.num_nodes()),
+                  column * shards)
+            << "shard " << s << " holds " << count << " routers";
+      }
+      // Flood each shard from its lowest router over its own channels.
+      std::vector<char> seen(static_cast<std::size_t>(topo.num_nodes()), 0);
+      for (NodeId root = 0; root < topo.num_nodes(); ++root) {
+        const int s = p.shard_of(root);
+        if (seen[static_cast<std::size_t>(root)] != 0) {
+          continue;
+        }
+        int reached = 0;
+        std::vector<NodeId> frontier{root};
+        seen[static_cast<std::size_t>(root)] = 1;
+        while (!frontier.empty()) {
+          const NodeId n = frontier.back();
+          frontier.pop_back();
+          ++reached;
+          for (int port = 0; port < kNumPorts; ++port) {
+            const NodeId m = topo.neighbour(n, static_cast<Port>(port));
+            if (m != kInvalidNode && p.shard_of(m) == s &&
+                seen[static_cast<std::size_t>(m)] == 0) {
+              seen[static_cast<std::size_t>(m)] = 1;
+              frontier.push_back(m);
+            }
+          }
+        }
+        EXPECT_EQ(reached, p.shard_node_count(s))
+            << "shard " << s << " is not one connected region";
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -254,7 +344,9 @@ SimResults run_counter_config(const GoldenConfig& cfg, int shards) {
 TEST(SimShardedCounter, BitIdenticalAcrossShardCounts) {
   // Counter mode's contract: the result is a pure function of the
   // configuration, never the shard count - draw k of NI n's stream is
-  // hash(seed, n, k) no matter which shard (or phase) computes it.
+  // hash(seed, n, k) no matter which shard (or phase) computes it. The
+  // 4-chiplet system has four columns, so 8 requested shards run as 4;
+  // SixtyFourChipletGridMatchesSerial covers eight workers.
   for (const GoldenConfig& cfg : kGoldens) {
     SCOPED_TRACE(cfg.name);
     const SimResults serial = run_counter_config(cfg, 1);
@@ -294,10 +386,12 @@ TEST(SimShardedCounter, RandomStrategyGoldenPinned) {
 }
 
 TEST(SimShardedCounter, SixtyFourChipletGridMatchesSerial) {
-  // The scale target: an 8x8 grid of 4x4 chiplets (64 chiplets, 1088
-  // routers) at 8 shards must still be bit-identical to serial. Small
-  // windows keep this cheap enough for the TSan job, which uses this
-  // test to race-check the fused/distributed phases at scale.
+  // The scale target: an 8x8 grid of 4x4 chiplets (64 chiplets, 2048
+  // routers: 1024 on the chiplets, 1024 on the interposer) must be
+  // bit-identical to serial at 2, 4 and 8 shards - 2 is the benchmark's
+  // grid64_shards2 split. Small windows keep this cheap enough for the
+  // TSan job, which uses this test to race-check the partitioned cycle
+  // at scale.
   static const ExperimentContext ctx(make_grid_spec(8, 8, 4, 4));
   SimKnobs knobs;
   knobs.warmup = 100;
@@ -306,7 +400,7 @@ TEST(SimShardedCounter, SixtyFourChipletGridMatchesSerial) {
   knobs.seed = 11;
   knobs.rng_mode = RngMode::counter;
   SimResults serial;
-  for (int shards : {1, 8}) {
+  for (int shards : {1, 2, 4, 8}) {
     SCOPED_TRACE(shards);
     UniformTraffic traffic(ctx.topo(), 0.003);
     knobs.shards = shards;

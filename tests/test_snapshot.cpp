@@ -542,6 +542,178 @@ TEST(Snapshot, InjectionEventsOutOfHeapOrderAreRejected) {
             std::string::npos);
 }
 
+// The cycle also indexes router state: the active-router worklist names
+// the routers a step visits, occupancy bits name lanes, owned bits name
+// owner (port, VC) pairs, and route decisions and allocated VCs index
+// per-port and per-VC arrays. Each edit below is made on an image paused
+// at cycle 1, before the first packet, where the packet table is empty
+// and every router record has its fixed empty size, and is resealed.
+// Before these checks each edited image restored, and the first
+// advance() indexed out of bounds.
+
+/// `image` with the byte at `at` set to `v`, resealed.
+std::vector<std::uint8_t> with_byte(std::vector<std::uint8_t> image,
+                                    std::size_t at, std::uint8_t v) {
+  image.at(at) = v;
+  reseal(image);
+  return image;
+}
+
+/// Offset of router `node`'s record in an empty-network image.
+std::size_t router_record(const std::vector<std::uint8_t>& image,
+                          std::size_t node) {
+  return empty_router_plane(image).routers + node * kEmptyRouterBytes;
+}
+
+/// `image` with one flit (packet 0, a head-and-tail flit) buffered in
+/// router `node`'s `lane` and the lane's occupancy bit set, resealed.
+std::vector<std::uint8_t> with_buffered_flit(std::vector<std::uint8_t> image,
+                                             std::size_t node, int lane) {
+  const std::size_t record = router_record(image, node);
+  const std::size_t occupancy = record + kRouterOccupancy;
+  set_image_u64(image, occupancy,
+                image_u64(image, occupancy) | std::uint64_t{1} << lane);
+  const std::size_t count = record + static_cast<std::size_t>(lane);
+  image.at(count) = 1;
+  const std::uint8_t flit[kFlitBytes] = {0, 0, 0, 0, 0, 0,
+                                         kFlitHead | kFlitTail};
+  image.insert(image.begin() + static_cast<std::ptrdiff_t>(count + 1), flit,
+               flit + kFlitBytes);
+  reseal(image);
+  return image;
+}
+
+TEST(Snapshot, RouterWorklistSizedForAnotherRouterCountIsRejected) {
+  // 128 routers fill two worklist words; a third would send the step to
+  // routers 128 to 191.
+  std::vector<std::uint8_t> image = snapshot_at(kScenarios[0], 1);
+  EXPECT_EQ(restore_error(kScenarios[0], image), "");
+  const std::size_t at = empty_router_plane(image).active;
+  ASSERT_EQ(image_u64(image, at), 2u);
+  image.insert(image.begin() + static_cast<std::ptrdiff_t>(at + 8), 8, 0);
+  EXPECT_NE(restore_error(kScenarios[0], with_u64(image, at, 3))
+                .find("router worklist size mismatch"),
+            std::string::npos);
+}
+
+TEST(Snapshot, RouterWorklistMarkPastTheRouterCountIsRejected) {
+  // The reference systems fill whole worklist words (128 and 192
+  // routers); the two-chiplet system has 37, so its one word has bits no
+  // router owns.
+  static const ExperimentContext ctx(make_two_chiplet_spec());
+  ASSERT_EQ(ctx.topo().num_nodes(), 37);
+  struct Run37 {
+    std::unique_ptr<RoutingAlgorithm> algorithm =
+        ctx.make_algorithm(Algorithm::deft, {}, 2);
+    UniformTraffic traffic{ctx.topo(), 0.02};
+    Simulator sim{ctx.topo(), *algorithm, traffic, golden_knobs()};
+    SimWorkspace ws;
+    SimStepper stepper;
+  };
+  Run37 paused;
+  paused.stepper.start(paused.sim, paused.ws);
+  paused.stepper.advance(1);
+  const std::vector<std::uint8_t> image = save_snapshot(paused.stepper);
+  const auto restore_error_37 = [](const std::vector<std::uint8_t>& edited) {
+    Run37 run;
+    try {
+      restore_snapshot(edited, run.sim, run.stepper, run.ws);
+    } catch (const SnapshotError& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  EXPECT_EQ(restore_error_37(image), "");
+  const std::size_t word = empty_router_plane(image).active + 8;
+  EXPECT_NE(restore_error_37(with_u64(image, word, std::uint64_t{1} << 37))
+                .find("marks routers past the router count"),
+            std::string::npos);
+}
+
+TEST(Snapshot, OccupiedRouterMissingFromTheWorklistIsRejected) {
+  // The step never visits an unmarked router, so its flits would strand.
+  const std::vector<std::uint8_t> image =
+      with_buffered_flit(snapshot_at(kScenarios[0], 1), 5, 0);
+  EXPECT_NE(restore_error(kScenarios[0], image)
+                .find("leaves occupied router 5 unmarked"),
+            std::string::npos);
+}
+
+TEST(Snapshot, OccupancyBitDisagreeingWithItsLaneIsRejected) {
+  const std::vector<std::uint8_t> image = snapshot_at(kScenarios[0], 1);
+  const std::size_t occupancy = router_record(image, 5) + kRouterOccupancy;
+  // An empty lane marked occupied, and a bit past the 32 lanes.
+  for (const int bit : {4, 40}) {
+    SCOPED_TRACE(bit);
+    EXPECT_NE(restore_error(kScenarios[0],
+                            with_u64(image, occupancy, std::uint64_t{1}
+                                                           << bit))
+                  .find("occupancy disagrees with its lane fill counts"),
+              std::string::npos);
+  }
+  // A flit on VC 3 of a two-VC network: its credit return would index
+  // the next router's credits.
+  EXPECT_NE(restore_error(kScenarios[0], with_buffered_flit(image, 5, 3))
+                .find("buffers flits on an unconfigured VC"),
+            std::string::npos);
+}
+
+TEST(Snapshot, OwnedBitWithoutAnOwnerIsRejected) {
+  // The switch allocator reads used_in[owner_port] for every owned bit.
+  const std::vector<std::uint8_t> image = snapshot_at(kScenarios[0], 1);
+  const std::size_t owned = router_record(image, 5) + kRouterOwned;
+  EXPECT_NE(restore_error(kScenarios[0], with_byte(image, owned, 0x10))
+                .find("owned-output bit disagrees with its owner"),
+            std::string::npos);
+}
+
+TEST(Snapshot, OutputVcOwnerOutOfRangeIsRejected) {
+  // Output lane 4 (east, VC 0) owned by input (port, VC) pairs the router
+  // does not have.
+  const std::vector<std::uint8_t> image = snapshot_at(kScenarios[0], 1);
+  const std::size_t record = router_record(image, 5);
+  const std::size_t owner = record + kRouterOutputVcs + 4 * 4;
+  const std::vector<std::uint8_t> owned =
+      with_byte(image, record + kRouterOwned, 0x10);
+  const std::pair<std::uint8_t, std::uint8_t> owners[] = {
+      {9, 0}, {1, 2}, {1, 0xff}};
+  for (const auto& [port, vc] : owners) {
+    SCOPED_TRACE(::testing::Message() << int{port} << "/" << int{vc});
+    std::vector<std::uint8_t> edited = owned;
+    edited.at(owner) = port;
+    edited.at(owner + 1) = vc;
+    reseal(edited);
+    EXPECT_NE(restore_error(kScenarios[0], edited)
+                  .find("output VC owner out of range"),
+              std::string::npos);
+  }
+  // An unowned output VC must name no owner at all.
+  EXPECT_NE(restore_error(kScenarios[0], with_byte(image, owner + 1, 1))
+                .find("output VC owner out of range"),
+            std::string::npos);
+}
+
+TEST(Snapshot, RouteDecisionPortOutOfRangeIsRejected) {
+  // VC allocation indexes the per-port round-robin pointers by it.
+  const std::vector<std::uint8_t> image = snapshot_at(kScenarios[0], 1);
+  const std::size_t port = router_record(image, 5) + kRouterInputVcs + 1;
+  EXPECT_NE(restore_error(kScenarios[0], with_byte(image, port, 200))
+                .find("route decision names port 200"),
+            std::string::npos);
+}
+
+TEST(Snapshot, AllocatedOutputVcOutOfRangeIsRejected) {
+  // Fault surgery indexes the output VCs by an input VC's allocation.
+  const std::vector<std::uint8_t> image = snapshot_at(kScenarios[0], 1);
+  const std::size_t out_vc = router_record(image, 5) + kRouterInputVcs + 3;
+  EXPECT_NE(restore_error(kScenarios[0], with_byte(image, out_vc, 2))
+                .find("holds output VC 2 of 2"),
+            std::string::npos);
+  EXPECT_NE(restore_error(kScenarios[0], with_byte(image, out_vc, 0xfe))
+                .find("holds output VC -2 of 2"),
+            std::string::npos);
+}
+
 TEST(Snapshot, PollingImageIsIndependentOfTheWorkspaceHistory) {
   // Application traffic polls its NIs, yet its image carries the NI
   // worklist too. A workspace that last ran a saturated lookahead run
