@@ -8,11 +8,7 @@
 //
 // The configuration format is documented in src/core/config_file.hpp.
 // `--shards N` overrides the config's `shards` key (results are
-// bit-identical for every shard count). When the configuration sets
-// `perf_json`, the run is timed (`repeats` wall-clock repeats, best
-// taken) and a perf-matrix-style JSON entry is written alongside the
-// normal report.
-#include <chrono>
+// bit-identical for every shard count).
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -44,9 +40,6 @@ fault_events =          # mid-run events, e.g.: 15000:2v 25000:2v:repair
 fault_policy = drop     # drop | reroute (in-flight packets on a fail event)
 trace_file =            # traffic = trace: replay this `cycle src dst app` file
 trace_cycles =          # ... or record a uniform workload over N cycles
-scenario   =            # perf hook: scenario key (default: derived)
-repeats    =            # perf hook: wall-clock repeats (default 3)
-perf_json  =            # perf hook: write a perf-matrix JSON entry here
 )";
 
 }  // namespace
@@ -116,56 +109,10 @@ int main(int argc, char** argv) {
   }
   std::puts("");
 
-  // Perf hook: repeat the run (fresh traffic each repeat - replay
-  // cursors and RNG draws are consumed) and keep the fastest repeat;
-  // results are identical across repeats, so `r` reports the last.
-  const int repeats = config.perf_json.empty() ? 1 : config.repeats;
-  SimResults r;
-  double best_seconds = 0.0;
-  for (int rep = 0; rep < repeats; ++rep) {
-    const auto traffic = config.make_traffic(topo);
-    const auto t0 = std::chrono::steady_clock::now();
-    r = run_sim(ctx, config.algorithm, *traffic, config.knobs, faults,
-                config.vl_strategy, timeline_ptr, config.fault_policy);
-    const auto t1 = std::chrono::steady_clock::now();
-    const double seconds = std::chrono::duration<double>(t1 - t0).count();
-    if (rep == 0 || seconds < best_seconds) {
-      best_seconds = seconds;
-    }
-  }
-
-  if (!config.perf_json.empty()) {
-    // The key lands inside a JSON string literal: drop the two
-    // characters that could break out of it.
-    std::string key = config.scenario_key(topo);
-    std::erase_if(key, [](char c) { return c == '"' || c == '\\'; });
-    FILE* out = std::fopen(config.perf_json.c_str(), "w");
-    if (out == nullptr) {
-      std::fprintf(stderr, "error: cannot write %s\n",
-                   config.perf_json.c_str());
-      return 1;
-    }
-    std::fprintf(
-        out,
-        "{\n  \"bench\": \"deft-sim\",\n"
-        "  \"config\": {\"repeats\": %d, \"shards\": %d},\n"
-        "  \"points\": [\n"
-        "    {\"scenario\": \"%s\", \"core\": \"active_set\", "
-        "\"outcome\": \"%s\", \"drained\": %s, "
-        "\"cycles\": %lld, \"flit_hops\": %llu, \"seconds\": %.6f, "
-        "\"cycles_per_sec\": %.0f, \"flit_hops_per_sec\": %.0f}\n"
-        "  ],\n  \"speedup\": {}\n}\n",
-        repeats, config.knobs.shards, key.c_str(),
-        run_outcome_name(r.outcome), r.drained ? "true" : "false",
-        static_cast<long long>(r.cycles_run),
-        static_cast<unsigned long long>(r.flit_hops), best_seconds,
-        static_cast<double>(r.cycles_run) / best_seconds,
-        static_cast<double>(r.flit_hops) / best_seconds);
-    std::fclose(out);
-    std::printf("perf: %s -> %s (%.0f cycles/s best of %d)\n", key.c_str(),
-                config.perf_json.c_str(),
-                static_cast<double>(r.cycles_run) / best_seconds, repeats);
-  }
+  const auto traffic = config.make_traffic(topo);
+  const SimResults r =
+      run_sim(ctx, config.algorithm, *traffic, config.knobs, faults,
+              config.vl_strategy, timeline_ptr, config.fault_policy);
 
   std::printf("cycles simulated:     %lld\n",
               static_cast<long long>(r.cycles_run));

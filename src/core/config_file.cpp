@@ -142,15 +142,6 @@ std::unique_ptr<TrafficGenerator> SimulationConfig::make_traffic(
   return nullptr;
 }
 
-std::string SimulationConfig::scenario_key(const Topology& topo) const {
-  if (!scenario.empty()) {
-    return scenario;
-  }
-  return std::to_string(chiplets) + "c/" + traffic + "/f" +
-         std::to_string(faults(topo).count()) + "/" +
-         algorithm_name(algorithm);
-}
-
 SimulationConfig parse_simulation_config(std::istream& in) {
   SimulationConfig config;
   std::string line;
@@ -241,12 +232,6 @@ SimulationConfig parse_simulation_config(std::istream& in) {
       config.trace_file = value;
     } else if (key == "trace_cycles") {
       config.trace_cycles = parse_int(key, value, 1, 100'000'000);
-    } else if (key == "scenario") {
-      config.scenario = value;
-    } else if (key == "repeats") {
-      config.repeats = static_cast<int>(parse_int(key, value, 1, 100));
-    } else if (key == "perf_json") {
-      config.perf_json = value;
     } else {
       require(false, "config: unknown key '" + key + "'");
     }

@@ -32,15 +32,6 @@
 //   trace_cycles = 11000           # or: record a uniform workload at
 //                                  # `rate` over that many cycles and
 //                                  # replay it (record_uniform_trace)
-//
-// Perf-matrix hooks let a configuration double as a tracked perf
-// scenario: with `perf_json = out.json` the CLI driver times the run
-// (`repeats` wall-clock repeats, best taken) and writes a perf-matrix-
-// style JSON entry keyed by `scenario` (default: derived from the
-// configuration), compatible with tools/check_perf_regression.py.
-//   scenario  = ref4/uniform/f0/DeFT
-//   repeats   = 3
-//   perf_json = BENCH_LOCAL.json
 #pragma once
 
 #include <iosfwd>
@@ -76,11 +67,6 @@ struct SimulationConfig {
   std::string trace_file;
   Cycle trace_cycles = 0;
 
-  // Perf-matrix hooks (active when perf_json is non-empty).
-  std::string perf_json;  ///< output path for the perf-matrix JSON
-  std::string scenario;   ///< scenario key (empty: derived from the config)
-  int repeats = 3;        ///< wall-clock repeats, best-of reported
-
   /// Resolves the fault channel list ("0v 3^ ...") for a topology.
   VlFaultSet faults(const Topology& topo) const;
 
@@ -89,12 +75,8 @@ struct SimulationConfig {
   FaultTimeline fault_events(const Topology& topo) const;
 
   /// Builds the configured traffic generator. Trace replay consumes its
-  /// cursors, so perf repeats must call this once per run.
+  /// cursors, so each run needs its own.
   std::unique_ptr<TrafficGenerator> make_traffic(const Topology& topo) const;
-
-  /// The scenario key perf output uses: `scenario` if set, otherwise
-  /// "<chiplets>c/<traffic>/f<faults>/<algorithm>".
-  std::string scenario_key(const Topology& topo) const;
 };
 
 /// Parses `key = value` lines. Throws std::invalid_argument on malformed

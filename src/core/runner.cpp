@@ -1,7 +1,6 @@
 #include "core/runner.hpp"
 
 #include <algorithm>
-#include <semaphore>
 
 #include "fault/scenario.hpp"
 #include "traffic/patterns.hpp"
@@ -216,19 +215,12 @@ std::vector<SweepResult> SweepRunner::run(const ExperimentContext& ctx,
 
   // One workspace per pool worker: a worker's simulation state is reused
   // across every point it executes (reset, not reallocated, between
-  // points), which is where the sweep's many-short-runs cost went. With
-  // sharded points each workspace also owns a `shards`-wide worker pool;
-  // rather than capping the whole sweep width (which would also throttle
-  // the points that end up running serially - e.g. non-lookahead traffic
-  // in a mixed sweep), the pool stays full-width and a semaphore admits
-  // at most effective_workers(shards) *sharded* runs at a time, keeping
-  // shards x concurrent-sharded-runs within the hardware.
-  const bool sharded_points =
-      knobs.shards > 1 && knobs.core == SimCore::active_set;
-  const int workers = num_threads_;
-  std::counting_semaphore<> sharded_slots(
-      sharded_points ? effective_workers(knobs.shards) : 1);
-
+  // points), which is where the sweep's many-short-runs cost went. Sharded
+  // points (the active-set core at shards > 1) each own a `shards`-wide
+  // worker pool, so the sweep runs at most effective_workers(shards) of
+  // them at a time, keeping shards x concurrent runs within the hardware.
+  const int workers = effective_workers(
+      knobs.core == SimCore::active_set ? knobs.shards : 1);
   std::vector<SimWorkspace> workspaces(static_cast<std::size_t>(workers));
   std::vector<SimResults> results = parallel_map_workers<SimResults>(
       points.size(), workers, [&](int worker, std::size_t i) {
@@ -237,23 +229,6 @@ std::vector<SweepResult> SweepRunner::run(const ExperimentContext& ctx,
                                           point.injection_rate);
         SimKnobs point_knobs = knobs;
         point_knobs.seed = point.sim_seed;
-        // Only points that will actually engage the sharded core (the
-        // Simulator's own gate: lookahead-capable traffic) take a
-        // sharded slot; serial points run at full sweep width.
-        const bool point_sharded =
-            sharded_points && traffic->supports_lookahead();
-        struct SlotGuard {
-          std::counting_semaphore<>* slots;
-          ~SlotGuard() {
-            if (slots != nullptr) {
-              slots->release();
-            }
-          }
-        } guard{nullptr};
-        if (point_sharded) {
-          sharded_slots.acquire();
-          guard.slots = &sharded_slots;
-        }
         return run_sim(workspaces[static_cast<std::size_t>(worker)], ctx,
                        point.algorithm, *traffic, point_knobs, point.faults,
                        point.vl_strategy, point.timeline,

@@ -179,10 +179,9 @@ class SweepRunner {
   /// Each pool worker reuses one SimWorkspace across all the points it
   /// executes, so steady-state sweep execution stays off the heap; the
   /// results are still bit-identical to fresh-Simulator serial execution
-  /// (tests/test_workspace.cpp). With knobs.shards > 1 the pool keeps its
-  /// full width but at most effective_workers() points run *sharded* at a
-  /// time (semaphore-gated), so sharded points compose with the sweep's
-  /// own parallelism without throttling a mixed sweep's serial points.
+  /// (tests/test_workspace.cpp). With knobs.shards > 1 on the active-set
+  /// core every point runs sharded, so the pool narrows to
+  /// effective_workers(shards).
   std::vector<SweepResult> run(const ExperimentContext& ctx,
                                const ExperimentGrid& grid,
                                const SimKnobs& knobs) const;

@@ -1,5 +1,6 @@
 #include "fault/fault_set.hpp"
 
+#include <bit>
 #include <sstream>
 
 namespace deft {
@@ -7,17 +8,26 @@ namespace deft {
 VlFaultSet VlFaultSet::of(std::initializer_list<VlChannelId> channels) {
   VlFaultSet f;
   for (VlChannelId c : channels) {
-    require(c >= 0 && c < 64, "VlFaultSet: channel id out of range");
+    require(c >= 0 && c < kMaxVlChannels,
+            "VlFaultSet: channel id out of range");
     f.set_faulty(c);
   }
   return f;
 }
 
+int VlFaultSet::count() const {
+  int n = 0;
+  for (const std::uint64_t w : words_) {
+    n += std::popcount(w);
+  }
+  return n;
+}
+
 std::vector<VlChannelId> VlFaultSet::channels() const {
   std::vector<VlChannelId> out;
-  for (VlChannelId c = 0; c < 64; ++c) {
-    if (is_faulty(c)) {
-      out.push_back(c);
+  for (std::size_t i = 0; i < words_.size(); ++i) {
+    for (std::uint64_t w = words_[i]; w != 0; w &= w - 1) {
+      out.push_back(static_cast<VlChannelId>(64 * i) + std::countr_zero(w));
     }
   }
   return out;

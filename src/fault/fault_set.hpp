@@ -6,6 +6,7 @@
 // bidirectional VLs = 32 faultable channels.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <initializer_list>
 #include <string>
@@ -15,9 +16,9 @@
 
 namespace deft {
 
-/// A set of faulty unidirectional VL channels, stored as a bitmask.
-/// Supports systems with up to 64 unidirectional VL channels (the paper's
-/// largest system has 48).
+/// A set of faulty unidirectional VL channels, stored as a fixed-size
+/// bitmask over every channel id a Topology admits (kMaxVlChannels), so
+/// copies never allocate.
 class VlFaultSet {
  public:
   VlFaultSet() = default;
@@ -25,12 +26,13 @@ class VlFaultSet {
   /// Builds a fault set from explicit channel ids.
   static VlFaultSet of(std::initializer_list<VlChannelId> channels);
 
-  void set_faulty(VlChannelId c) { bits_ |= bit(c); }
-  void clear(VlChannelId c) { bits_ &= ~bit(c); }
-  bool is_faulty(VlChannelId c) const { return (bits_ & bit(c)) != 0; }
-  bool empty() const { return bits_ == 0; }
-  int count() const { return __builtin_popcountll(bits_); }
-  std::uint64_t bits() const { return bits_; }
+  void set_faulty(VlChannelId c) { words_[word(c)] |= bit(c); }
+  void clear(VlChannelId c) { words_[word(c)] &= ~bit(c); }
+  bool is_faulty(VlChannelId c) const {
+    return (words_[word(c)] & bit(c)) != 0;
+  }
+  bool empty() const { return words_ == decltype(words_){}; }
+  int count() const;
 
   /// Faulty-channel ids in increasing order.
   std::vector<VlChannelId> channels() const;
@@ -54,11 +56,17 @@ class VlFaultSet {
   friend bool operator==(const VlFaultSet&, const VlFaultSet&) = default;
 
  private:
+  /// Checkpointing stores the words verbatim (sim/snapshot.hpp).
+  friend class SnapshotAccess;
+
+  static std::size_t word(VlChannelId c) {
+    return static_cast<std::size_t>(c) / 64;
+  }
   static std::uint64_t bit(VlChannelId c) {
-    return std::uint64_t{1} << static_cast<unsigned>(c);
+    return std::uint64_t{1} << (static_cast<unsigned>(c) % 64);
   }
 
-  std::uint64_t bits_ = 0;
+  std::array<std::uint64_t, kMaxVlChannels / 64> words_{};
 };
 
 }  // namespace deft

@@ -470,11 +470,6 @@ std::vector<std::uint64_t> MtrPlan::Legs::pair_combos() const {
 }
 
 MtrPlan::MtrPlan(const Topology& topo) : topo_(&topo) {
-  endpoint_index_.assign(static_cast<std::size_t>(topo.num_nodes()), -1);
-  for (std::size_t i = 0; i < topo.endpoints().size(); ++i) {
-    endpoint_index_[static_cast<std::size_t>(topo.endpoints()[i])] =
-        static_cast<int>(i);
-  }
   forbidden_.assign(static_cast<std::size_t>(topo.num_channels()) * kNumPorts,
                     0);
   {

@@ -62,9 +62,7 @@ class MtrPlan {
   /// up_idx. Indices are per-chiplet VL indices.
   std::uint64_t pair_combos(NodeId src, NodeId dst) const;
 
-  int endpoint_index(NodeId n) const {
-    return endpoint_index_[static_cast<std::size_t>(n)];
-  }
+  int endpoint_index(NodeId n) const { return topo_->endpoint_index(n); }
 
  private:
   /// The synthesis' single-crossing route model (source, interposer and
@@ -85,7 +83,6 @@ class MtrPlan {
   std::vector<std::uint8_t> forbidden_;
   int restricted_turns_ = 0;
   std::unique_ptr<LineGraph> line_graph_;
-  std::vector<int> endpoint_index_;
   /// dist_[endpoint_index][line_node]
   std::vector<std::vector<std::uint16_t>> dist_;
   /// combos_[src_endpoint_index * num_endpoints + dst_endpoint_index]

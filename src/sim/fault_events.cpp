@@ -6,8 +6,7 @@
 namespace deft {
 
 void FaultSurgeon::reset(const Topology& topo, const FaultTimeline* timeline,
-                         InFlightPolicy policy, const VlFaultSet& initial,
-                         const std::vector<NetworkInterface>& nis) {
+                         InFlightPolicy policy, const VlFaultSet& initial) {
   topo_ = &topo;
   timeline_ = timeline;
   policy_ = policy;
@@ -29,12 +28,6 @@ void FaultSurgeon::reset(const Topology& topo, const FaultTimeline* timeline,
                 const Cycle cb = events[b].cycle;
                 return ca != cb ? ca < cb : a < b;
               });
-  }
-
-  ni_of_node_.assign(static_cast<std::size_t>(topo.num_nodes()), -1);
-  for (std::size_t i = 0; i < nis.size(); ++i) {
-    ni_of_node_[static_cast<std::size_t>(nis[i].node())] =
-        static_cast<int>(i);
   }
 
   lost_ = 0;
@@ -172,7 +165,7 @@ PacketId FaultSurgeon::upstream_owner(const Network& net,
     const int p = lane / kMaxVcs;
     const int v = lane % kMaxVcs;
     if (static_cast<Port>(p) == Port::local) {
-      const int ni = ni_of_node_[static_cast<std::size_t>(node)];
+      const int ni = topo_->endpoint_index(node);
       check(ni >= 0, "FaultSurgeon: pinned local lane at a non-endpoint");
       const PacketId owner = nis[static_cast<std::size_t>(ni)].active_;
       check(owner >= 0,

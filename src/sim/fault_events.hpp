@@ -44,12 +44,10 @@ class FaultSurgeon {
   /// (Re)binds the surgeon for one run. `timeline` may be null (no dynamic
   /// events; the surgeon still tracks the fault window of a static
   /// `initial` set so the window metrics cover static-fault runs too).
-  /// `nis` must already be bound to their endpoints. Reuses all prior
-  /// allocations: on a warm workspace reset() and the per-event surgery
-  /// perform no heap allocation.
+  /// Reuses all prior allocations: on a warm workspace reset() and the
+  /// per-event surgery perform no heap allocation.
   void reset(const Topology& topo, const FaultTimeline* timeline,
-             InFlightPolicy policy, const VlFaultSet& initial,
-             const std::vector<NetworkInterface>& nis);
+             InFlightPolicy policy, const VlFaultSet& initial);
 
   /// O(1) guard for the per-cycle serial point: true when apply_due(now)
   /// has events to apply.
@@ -77,7 +75,7 @@ class FaultSurgeon {
 
  private:
   /// Checkpointing serializes the event cursor, current fault set and
-  /// fault-window metrics (order_/ni_of_node_ are rebuilt by reset(); the
+  /// fault-window metrics (order_ is rebuilt by reset(); the
   /// per-event scratch is reassigned at each event application).
   friend class SnapshotAccess;
 
@@ -134,7 +132,6 @@ class FaultSurgeon {
   /// Event indices sorted by (cycle, insertion order); cursor_ = next due.
   std::vector<std::uint32_t> order_;
   std::size_t cursor_ = 0;
-  std::vector<int> ni_of_node_;  ///< NI index per endpoint node, -1 = none
 
   // --- Fault-window metrics ---------------------------------------------
   std::uint64_t lost_ = 0;

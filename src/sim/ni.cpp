@@ -9,79 +9,73 @@ void NetworkInterface::generate(Cycle now, TrafficGenerator& traffic,
                                 NiCounters& counters) {
   scratch_.clear();
   traffic.tick(node_, now, rng_, scratch_);
-  materialize(now, scratch_, algorithm, packets, packet_size,
-              in_measure_window, counters);
+  prepare(now, true, algorithm);
+  commit(now, packets, packet_size, in_measure_window, counters);
 }
 
 Cycle NetworkInterface::schedule_next(TrafficGenerator& traffic, Cycle from,
                                       Cycle limit) {
   scratch_.clear();
-  return traffic.next_injection(node_, from, limit, rng_, scratch_);
+  injection_at_ = traffic.next_injection(node_, from, limit, rng_, scratch_);
+  return injection_at_;
 }
 
 void NetworkInterface::commit_scheduled(Cycle now, RoutingAlgorithm& algorithm,
                                         PacketTable& packets, int packet_size,
                                         bool in_measure_window,
                                         NiCounters& counters) {
-  if (!prepared_.empty()) {
-    // Routes were prepared in the parallel back phase; only the dense-id
-    // allocation (order-sensitive) happens here.
-    for (const PreparedRequest& p : prepared_) {
-      if (!p.ok) {
-        ++counters.dropped_unroutable;
-        continue;
-      }
-      const PacketId id =
-          packets.create(p.route, now, static_cast<std::uint16_t>(packet_size),
-                         p.app, in_measure_window);
-      queue_.push_back(id);
-      ++counters.created;
-      if (in_measure_window) {
-        ++counters.created_measured;
-      }
-    }
-    prepared_.clear();
-    return;
+  if (prepared_.empty()) {
+    prepare(now, injection_at_ == now, algorithm);
   }
-  materialize(now, scratch_, algorithm, packets, packet_size,
-              in_measure_window, counters);
+  commit(now, packets, packet_size, in_measure_window, counters);
 }
 
-void NetworkInterface::prepare_scheduled(RoutingAlgorithm& algorithm) {
+void NetworkInterface::prepare(Cycle at, bool own,
+                               RoutingAlgorithm& algorithm) {
   prepared_.clear();
-  for (const PacketRequest& req : scratch_) {
-    PreparedRequest p;
+  const auto add = [&](NodeId dst, std::uint8_t app) {
+    PreparedRequest& p = prepared_.emplace_back();
     p.route.src = node_;
-    p.route.dst = req.dst;
-    p.app = req.app;
+    p.route.dst = dst;
+    p.app = app;
     p.ok = algorithm.prepare_packet(p.route, route_stream());
-    prepared_.push_back(p);
+  };
+  for (; replies_head_ < replies_.size() &&
+         replies_[replies_head_].due <= at;
+       ++replies_head_) {
+    add(replies_[replies_head_].requester, replies_[replies_head_].app);
+  }
+  if (replies_head_ > 0 && 2 * replies_head_ >= replies_.size()) {
+    replies_.erase(replies_.begin(),
+                   replies_.begin() +
+                       static_cast<std::ptrdiff_t>(replies_head_));
+    replies_head_ = 0;
+  }
+  if (own) {
+    for (const PacketRequest& req : scratch_) {
+      add(req.dst, req.app);
+    }
   }
 }
 
-void NetworkInterface::materialize(Cycle now,
-                                   const std::vector<PacketRequest>& requests,
-                                   RoutingAlgorithm& algorithm,
-                                   PacketTable& packets, int packet_size,
-                                   bool in_measure_window,
-                                   NiCounters& counters) {
-  for (const PacketRequest& req : requests) {
-    PacketRoute route;
-    route.src = node_;
-    route.dst = req.dst;
-    if (!algorithm.prepare_packet(route, route_stream())) {
+void NetworkInterface::commit(Cycle now, PacketTable& packets,
+                              int packet_size, bool in_measure_window,
+                              NiCounters& counters) {
+  for (const PreparedRequest& p : prepared_) {
+    if (!p.ok) {
       ++counters.dropped_unroutable;
       continue;
     }
     const PacketId id =
-        packets.create(route, now, static_cast<std::uint16_t>(packet_size),
-                       req.app, in_measure_window);
+        packets.create(p.route, now, static_cast<std::uint16_t>(packet_size),
+                       p.app, in_measure_window);
     queue_.push_back(id);
     ++counters.created;
     if (in_measure_window) {
       ++counters.created_measured;
     }
   }
+  prepared_.clear();
 }
 
 void NetworkInterface::try_inject(Cycle now, Network& net,

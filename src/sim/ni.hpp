@@ -2,9 +2,12 @@
 //
 // Each NI owns an unbounded source queue (so offered load is independent
 // of network backpressure, the standard open-loop measurement setup), a
-// private RNG stream, and - for the RC baseline - the permission-request
+// private RNG stream, its pre-drawn next injection, the FIFO of replies it
+// owes requesters, and - for the RC baseline - the permission-request
 // state machine for the packet at the head of its queue.
 #pragma once
+
+#include <limits>
 
 #include "sim/network.hpp"
 #include "sim/rc_units.hpp"
@@ -63,44 +66,64 @@ class NetworkInterface {
     perm_requested_ = false;
     vc_rr_ = 0;
     scratch_.clear();
+    injection_at_ = kNoInjection;
+    replies_.clear();
+    replies_head_ = 0;
     prepared_.clear();
   }
 
-  /// Asks the traffic generator for this cycle's packets, prepares their
-  /// routes and enqueues them (unroutable ones are dropped and counted).
-  /// Per-cycle polling path; the scheduled path below replaces it when the
-  /// generator supports lookahead.
+  /// A reply this NI owes: sent to `requester` at cycle `due`.
+  struct PendingReply {
+    Cycle due = 0;
+    NodeId requester = kInvalidNode;
+    std::uint8_t app = 0;
+  };
+
+  /// The full-scan reference's per-cycle path: materializes the replies
+  /// due now, then this cycle's tick() requests (drawn()).
   void generate(Cycle now, TrafficGenerator& traffic,
                 RoutingAlgorithm& algorithm, PacketTable& packets,
                 int packet_size, bool in_measure_window, NiCounters& counters);
 
-  // --- Scheduled generation (lookahead-capable generators) ---------------
-  /// Pre-draws this NI's next injection event in [from, limit): the
-  /// requests are buffered internally (the RNG stream is consumed exactly
-  /// as per-cycle generate() calls would) and the event cycle is returned,
-  /// or `limit` when the source stays silent. The simulator re-enters via
-  /// commit_scheduled() when the returned cycle arrives.
+  // --- Scheduled generation (the active-set cycle) -----------------------
+  /// Pre-draws this NI's next injection event in [from, limit) into
+  /// drawn() and injection_at(), consuming the RNG stream exactly as
+  /// per-cycle generate() calls would. Returns its cycle, or `limit`.
   Cycle schedule_next(TrafficGenerator& traffic, Cycle from, Cycle limit);
 
-  /// Materializes the requests pre-drawn by schedule_next() as packets
-  /// created at cycle `now` - identical packet state and counters to a
-  /// generate() call at `now`. When prepare_scheduled() already ran for
-  /// this batch, the prepared routes are committed instead of re-deriving
-  /// them (the prepared buffer is consumed either way).
+  /// Materializes this NI's batch at cycle `now`: the queued replies due
+  /// by `now` in FIFO order, then - when its own event is due now - the
+  /// requests schedule_next() pre-drew. Identical packet state and
+  /// counters to a generate() call at `now`. Routes prepare_scheduled()
+  /// already prepared for this batch are committed as they are.
   void commit_scheduled(Cycle now, RoutingAlgorithm& algorithm,
                         PacketTable& packets, int packet_size,
                         bool in_measure_window, NiCounters& counters);
 
-  /// Counter-mode fast path: prepares the routes of the requests pre-drawn
-  /// by schedule_next() using this NI's private counter stream, so the
-  /// work runs inside the cycle's per-shard back step.
-  /// Packet creation (the dense-id allocation) stays in commit_scheduled's
-  /// serial ascending-NI merge, which is what keeps PacketTable ids
-  /// shard-count-invariant. Only valid in counter mode; must not run when
-  /// a fault event fires at the commit cycle (the routes would see the
-  /// stale fault set - the caller defers to the serial path instead, and
-  /// the per-NI stream makes both paths consume identical draws).
-  void prepare_scheduled(RoutingAlgorithm& algorithm);
+  /// Counter-mode fast path: prepares the routes of the batch
+  /// commit_scheduled(`at`) will materialize from this NI's private
+  /// counter stream, inside the per-shard back step; packet creation (the
+  /// dense-id allocation) stays in the serial ascending-NI commit, so ids
+  /// are shard-count-invariant. Must not run when a fault event fires at
+  /// `at` (the routes would see the stale fault set); the caller defers to
+  /// the serial path, which consumes identical per-NI draws.
+  void prepare_scheduled(RoutingAlgorithm& algorithm, Cycle at) {
+    prepare(at, injection_at_ == at, algorithm);
+  }
+
+  /// Queues a reply to `requester` due at `due`; replies arrive in due
+  /// order.
+  void queue_reply(Cycle due, NodeId requester, std::uint8_t app) {
+    replies_.push_back({due, requester, app});
+  }
+
+  /// This NI's own injection event: its requests (pre-drawn, or this
+  /// cycle's in generate()) and its cycle (kNoInjection before the first
+  /// pre-draw).
+  const std::vector<PacketRequest>& drawn() const { return scratch_; }
+  Cycle injection_at() const { return injection_at_; }
+
+  static constexpr Cycle kNoInjection = std::numeric_limits<Cycle>::max();
 
   /// Pushes at most one flit of the active packet into the router; handles
   /// RC permission acquisition for the head-of-queue packet. When
@@ -115,25 +138,24 @@ class NetworkInterface {
 
   /// Work still owned by this NI (queued or partially injected packets).
   bool busy() const { return active_ >= 0 || queue_head_ < queue_.size(); }
-  std::size_t queue_depth() const {
-    return (queue_.size() - queue_head_) + (active_ >= 0);
-  }
   NodeId node() const { return node_; }
 
  private:
   /// The fault-event surgeon inspects/edits queued and active packet state
   /// at event boundaries (serial points only).
   friend class FaultSurgeon;
-  /// Checkpointing serializes the queue, active-packet cache, RNG stream
-  /// and pre-drawn scratch requests at a paused cycle boundary.
+  /// Checkpointing serializes the queue, active-packet cache, RNG stream,
+  /// pre-drawn injection event and reply FIFO at a paused cycle boundary.
   friend class SnapshotAccess;
 
-  /// Shared tail of generate()/commit_scheduled(): route preparation,
-  /// packet creation and counter updates for one batch of requests.
-  void materialize(Cycle now, const std::vector<PacketRequest>& requests,
-                   RoutingAlgorithm& algorithm, PacketTable& packets,
-                   int packet_size, bool in_measure_window,
-                   NiCounters& counters);
+  /// Prepares the routes of the batch due at `at` into prepared_: the
+  /// replies due by then (popped off their FIFO), then - with `own` -
+  /// drawn().
+  void prepare(Cycle at, bool own, RoutingAlgorithm& algorithm);
+  /// Creates and queues the prepared_ packets at cycle `now` (an
+  /// unroutable one is counted and dropped).
+  void commit(Cycle now, PacketTable& packets, int packet_size,
+              bool in_measure_window, NiCounters& counters);
 
   /// This NI's route-randomness source: its private counter stream in
   /// counter mode, or null (= the algorithm's shared stream) otherwise.
@@ -143,7 +165,7 @@ class NetworkInterface {
     return counter_mode_ ? &route_rng_ : nullptr;
   }
 
-  /// One pre-routed packet request (prepare_scheduled's output).
+  /// One pre-routed packet request (prepare's output).
   struct PreparedRequest {
     PacketRoute route;
     std::uint8_t app = 0;
@@ -172,9 +194,15 @@ class NetworkInterface {
   int vc_ = -1;
   bool perm_requested_ = false;
   std::uint8_t vc_rr_ = 0;
+  /// The own injection event: its requests and its cycle.
   std::vector<PacketRequest> scratch_;
-  /// Routes prepared ahead of commit by prepare_scheduled(), parallel to
-  /// scratch_; empty when the serial path will re-derive them.
+  Cycle injection_at_ = kNoInjection;
+  /// Replies owed, a FIFO like queue_ that also drops its consumed prefix
+  /// once that dominates, so one that never drains stays bounded.
+  std::vector<PendingReply> replies_;
+  std::size_t replies_head_ = 0;
+  /// The batch prepare() built, in batch order. Only a counter-mode back
+  /// step leaves it filled for the next begin step's commit.
   std::vector<PreparedRequest> prepared_;
 };
 

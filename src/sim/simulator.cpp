@@ -11,20 +11,22 @@ namespace deft {
 // The cycle. Every active-set run executes each cycle as four steps over a
 // router Partition, with one ShardRun slice per shard:
 //
-//   begin (serial): due fault events apply; the injections due this cycle
-//     are drawn (unless back() already drew them) and materialize in
-//     ascending NI order - the order the routing algorithm's shared RNG
-//     stream is consumed in - or, for traffic without lookahead, every NI
-//     polls its generator; then the RC units tick.
-//   front (per shard): scheduled wake-ups re-arm their next event, busy
-//     NIs inject (staging RC permission requests into the shard's batch),
-//     then step_shard() routes/arbitrates the shard's routers into the
-//     per-consumer outboxes.
+//   begin (serial): due fault events apply; the NIs woken this cycle (by
+//     their pre-drawn injection or by a reply falling due) are drawn
+//     (unless back() already drew them) and materialize in ascending NI
+//     order - the order the routing algorithm's shared RNG stream is
+//     consumed in - queueing the replies their requests carry at the
+//     responders' NIs and waking each responder at its reply's due cycle;
+//     then the RC units tick.
+//   front (per shard): NIs whose own injection fired re-arm their next
+//     event, busy NIs inject (staging RC permission requests into the
+//     shard's batch), then step_shard() routes/arbitrates the shard's
+//     routers into the per-consumer outboxes.
 //   back (per shard): commit_shard() drains every inbox addressed to the
 //     shard (arrivals, credits, RC output credits, local ejections into
 //     the shard's private accumulators), the staged RC permission
 //     requests for the shard's own units are delivered in ascending NI
-//     order, and the next cycle's injections are drawn from the shard's
+//     order, and the next cycle's wake-ups are drawn from the shard's
 //     event heap - in counter mode with their routes prepared.
 //   end (serial): RC absorptions drain, the shards' RC busy-unit deltas
 //     fold in, and the watchdog and drain checks run on the summed
@@ -64,7 +66,6 @@ struct CycleEngine {
         results(&ws.results_),
         surgeon(&ws.surgeon_),
         partition(&partition),
-        lookahead(sim.lookahead()),
         counter_mode(sim.knobs_.rng_mode == RngMode::counter) {}
 
   const SimKnobs* knobs;
@@ -79,9 +80,6 @@ struct CycleEngine {
   SimResults* results;
   FaultSurgeon* surgeon;
   const Partition* partition;
-  /// Injections are pre-drawn per NI (lookahead traffic on the active-set
-  /// core); otherwise begin() polls every NI, at one shard.
-  bool lookahead;
   /// SimKnobs::rng_mode == counter: per-NI route streams make route
   /// preparation order-independent, so back() prepares the next cycle's
   /// routes in parallel instead of begin() deriving them serially.
@@ -95,37 +93,64 @@ struct CycleEngine {
   bool in_window = false;
   bool stop = false;
 
-  void schedule(ShardRun& sh, std::size_t i, Cycle from) {
+  /// Wakes NI i at cycle `at` through its shard's event heap. An NI may
+  /// hold several events for one cycle (its own injection and replies);
+  /// draw() folds them into one wake-up.
+  void wake_at(Cycle at, std::size_t i) {
+    const int s = partition->shard_of((*nis)[i].node());
+    auto& events = (*shards)[static_cast<std::size_t>(s)].events;
+    events.emplace_back(at, i);
+    std::push_heap(events.begin(), events.end(), std::greater<>{});
+  }
+
+  /// Pre-draws NI i's next own injection from `from` and wakes the NI
+  /// then, unless it falls at or past the run's hard end.
+  void schedule(std::size_t i, Cycle from) {
     const Cycle c = (*nis)[i].schedule_next(*traffic, from, cur.hard_end);
     if (c < cur.hard_end) {
-      sh.events.emplace_back(c, i);
-      std::push_heap(sh.events.begin(), sh.events.end(), std::greater<>{});
+      wake_at(c, i);
     }
   }
 
-  /// Pops the shard's injections due at `at` into its wake set; with
-  /// `prepare`, also prepares their routes (counter mode).
+  /// Queues the replies `ni`'s just-materialized requests carry at their
+  /// responders' NIs, in request order; with `wake` (the active-set
+  /// cycle) each one due before the hard end also wakes its responder
+  /// then. Serial steps only: a responder may belong to another shard.
+  void forward_replies(const NetworkInterface& ni, bool wake) {
+    for (const PacketRequest& req : ni.drawn()) {
+      if (req.reply_at == kNoReply) {
+        continue;
+      }
+      const auto r = static_cast<std::size_t>(topo->endpoint_index(req.dst));
+      check(r < nis->size(), "Simulator: a reply's responder is no endpoint");
+      (*nis)[r].queue_reply(req.reply_at, ni.node(), req.app);
+      if (wake && req.reply_at < cur.hard_end) {
+        wake_at(req.reply_at, r);
+      }
+    }
+  }
+
+  /// Pops the shard's wake-ups due at `at` into its wake set; with
+  /// `prepare`, also prepares each woken NI's batch routes (counter mode).
   void draw(ShardRun& sh, Cycle at, bool prepare) {
     while (!sh.events.empty() && sh.events.front().first == at) {
       std::pop_heap(sh.events.begin(), sh.events.end(), std::greater<>{});
       const std::size_t i = sh.events.back().second;
       sh.events.pop_back();
-      sh.wake[i / 64] |= std::uint64_t{1} << (i % 64);
-      if (prepare) {
-        (*nis)[i].prepare_scheduled(*algorithm);
+      std::uint64_t& word = sh.wake[i / 64];
+      const std::uint64_t bit = std::uint64_t{1} << (i % 64);
+      if (prepare && (word & bit) == 0) {
+        (*nis)[i].prepare_scheduled(*algorithm, at);
       }
+      word |= bit;
     }
   }
 
-  /// Run prologue: arms every NI's first scheduled injection in its owner
-  /// shard's heap.
+  /// Run prologue of the active-set cycle: pre-draws every NI's first
+  /// injection into its owner shard's heap.
   void arm() {
-    if (!lookahead) {
-      return;
-    }
     for (std::size_t i = 0; i < nis->size(); ++i) {
-      const int s = partition->shard_of((*nis)[i].node());
-      schedule((*shards)[static_cast<std::size_t>(s)], i, 0);
+      schedule(i, 0);
     }
   }
 
@@ -194,7 +219,7 @@ struct ShardSink {
   }
 };
 
-/// Front step for one shard: scheduled wake-ups re-arm, busy NIs inject,
+/// Front step for one shard: fired injections re-arm, busy NIs inject,
 /// the shard's routers step.
 template <bool InWindow>
 void front(CycleEngine& st, int s) {
@@ -210,9 +235,10 @@ void front(CycleEngine& st, int s) {
       word &= word - 1;
       const std::size_t i = w * 64 + static_cast<std::size_t>(b);
       NetworkInterface& ni = (*st.nis)[i];
-      if ((wake_word >> b) & 1) {
-        // begin() materialized the injection; re-arm the NI's next event.
-        st.schedule(sh, i, now + 1);
+      if (((wake_word >> b) & 1) != 0 && ni.injection_at() == now) {
+        // begin() materialized the NI's own injection; pre-draw its next.
+        // A wake-up by replies alone leaves the pending one in the heap.
+        st.schedule(i, now + 1);
       }
       if (ni.busy()) {
         ni.try_inject(now, *st.net, *st.packets, *st.rc_units,
@@ -232,7 +258,7 @@ void front(CycleEngine& st, int s) {
 
 /// Back step for one shard: commit the shard's inboxes, deliver the staged
 /// RC permission requests whose units this shard owns, and draw the next
-/// cycle's injections.
+/// cycle's wake-ups.
 template <bool InWindow>
 void back(CycleEngine& st, int s) {
   ShardRun& sh = (*st.shards)[static_cast<std::size_t>(s)];
@@ -297,45 +323,30 @@ void CycleEngine::begin() {
   if (surgeon->pending(now)) {
     surgeon->apply_due(now, *net, *algorithm, *packets, *nis, *rc_units);
   }
-  if (lookahead) {
-    // Draw whatever back() left due now (cycle 0, and the cycle after a
-    // pause). Nothing due now can have been pushed since the last back(),
-    // so this is a no-op whenever back() drew. Then materialize in
-    // ascending NI order: each NI belongs to one shard, so the OR of the
-    // shards' wake words is the whole wake set.
-    for (ShardRun& sh : *shards) {
-      draw(sh, now, false);
+  // Draw whatever back() left due now (cycle 0, and the cycle after a
+  // pause). Nothing due now can have been pushed since the last back() -
+  // replies fall due at least one cycle after their requests - so this is
+  // a no-op whenever back() drew. Then materialize in ascending NI order:
+  // each NI belongs to one shard, so the OR of the shards' wake words is
+  // the whole wake set.
+  for (ShardRun& sh : *shards) {
+    draw(sh, now, false);
+  }
+  const std::size_t words = shards->front().wake.size();
+  for (std::size_t w = 0; w < words; ++w) {
+    std::uint64_t word = 0;
+    for (const ShardRun& sh : *shards) {
+      word |= sh.wake[w];
     }
-    const std::size_t words = shards->front().wake.size();
-    for (std::size_t w = 0; w < words; ++w) {
-      std::uint64_t word = 0;
-      for (const ShardRun& sh : *shards) {
-        word |= sh.wake[w];
+    for (; word != 0; word &= word - 1) {
+      const std::size_t i =
+          w * 64 + static_cast<std::size_t>(std::countr_zero(word));
+      NetworkInterface& ni = (*nis)[i];
+      ni.commit_scheduled(now, *algorithm, *packets, knobs->packet_size,
+                          in_window, cur.counters);
+      if (ni.injection_at() == now) {
+        forward_replies(ni, true);
       }
-      for (; word != 0; word &= word - 1) {
-        const std::size_t i =
-            w * 64 + static_cast<std::size_t>(std::countr_zero(word));
-        (*nis)[i].commit_scheduled(now, *algorithm, *packets,
-                                   knobs->packet_size, in_window,
-                                   cur.counters);
-      }
-    }
-  } else {
-    // Traffic without lookahead polls every NI (at one shard), marking the
-    // NIs that now hold packets for front().
-    std::vector<std::uint64_t>& busy = shards->front().busy;
-    for (std::size_t w = 0; w < busy.size(); ++w) {
-      const std::size_t last = std::min(nis->size(), w * 64 + 64);
-      std::uint64_t word = busy[w];
-      for (std::size_t i = w * 64; i < last; ++i) {
-        NetworkInterface& ni = (*nis)[i];
-        ni.generate(now, *traffic, *algorithm, *packets, knobs->packet_size,
-                    in_window, cur.counters);
-        if (ni.busy()) {
-          word |= std::uint64_t{1} << (i % 64);
-        }
-      }
-      busy[w] = word;
     }
   }
   rc_units->tick(now, *net, *packets);
@@ -457,10 +468,11 @@ void run_workers(CycleEngine& st, WorkerPool& pool) {
   }
 }
 
-/// The reference core: the original single loop that polls every NI and
-/// recomputes the window flag every cycle, driving the network's full
-/// router scan. Kept as the executable specification the equivalence
-/// tests (and the perf harness baseline) compare the active-set cycle to.
+/// The reference core: the original single loop that polls every NI's
+/// generator (TrafficGenerator::tick) and recomputes the window flag every
+/// cycle, driving the network's full router scan. Kept as the executable
+/// specification the equivalence tests (and the perf harness baseline)
+/// compare the active-set cycle to.
 void run_reference(CycleEngine& st, Cycle cap) {
   RunCursor& cur = st.cur;
   ShardRun& sh = st.shards->front();
@@ -477,6 +489,7 @@ void run_reference(CycleEngine& st, Cycle cap) {
     for (NetworkInterface& ni : *st.nis) {
       ni.generate(now, *st.traffic, *st.algorithm, *st.packets,
                   st.knobs->packet_size, in_window, cur.counters);
+      st.forward_replies(ni, false);
       ni.try_inject(now, *st.net, *st.packets, *st.rc_units);
     }
     st.rc_units->tick(now, *st.net, *st.packets);
@@ -598,7 +611,7 @@ RunCursor Simulator::prepare(SimWorkspace& ws, const Partition* partition) {
                      CounterRng(knobs_.seed, static_cast<std::uint64_t>(n)),
                      counter);
   }
-  ws.surgeon_.reset(*topo_, timeline_, policy_, faults_, ws.nis_);
+  ws.surgeon_.reset(*topo_, timeline_, policy_, faults_);
 
   // Every mode sizes the worklist, so nothing of an earlier run in this
   // workspace survives into this one (or into its snapshot images).
@@ -629,12 +642,10 @@ RunCursor Simulator::prepare(SimWorkspace& ws, const Partition* partition) {
 }
 
 const SimResults& Simulator::run(SimWorkspace& ws) {
-  // Sharding needs lookahead traffic on the active-set core: lookahead is
-  // the generator's declaration that sources draw independently, which is
-  // exactly what the parallel NI phase requires. Everything else - and a
-  // partition that comes out with one shard - runs the same cycle at one
-  // shard, through the stepper.
-  bool sharded = knobs_.shards > 1 && lookahead();
+  // The active-set core runs at the requested shard count; the full-scan
+  // reference - and a partition that comes out with one shard - runs the
+  // same cycle at one shard, through the stepper.
+  bool sharded = knobs_.shards > 1 && knobs_.core == SimCore::active_set;
   if (sharded) {
     ws.partition_.build(*topo_, knobs_.shards);
     sharded = ws.partition_.num_shards() > 1;
@@ -719,7 +730,7 @@ void SimStepper::start(Simulator& sim, SimWorkspace& ws) {
   sim_ = &sim;
   ws_ = &ws;
   cur_ = sim.prepare(ws, nullptr);
-  primed_ = done_ = finished_ = false;
+  done_ = finished_ = false;
 }
 
 bool SimStepper::advance(Cycle cap) {
@@ -730,13 +741,12 @@ bool SimStepper::advance(Cycle cap) {
   CycleEngine st(*sim_, *ws_, kSerialPartition);
   st.cur = cur_;
   st.draw_end = cap;
-  if (!primed_) {
-    primed_ = true;
-    st.arm();
-  }
   if (sim_->knobs_.core == SimCore::full_scan) {
     run_reference(st, cap);
   } else {
+    if (cur_.now == 0) {
+      st.arm();  // before the first cycle: pre-draw every NI's injection
+    }
     run_inline(st, cap);
   }
   cur_ = st.cur;

@@ -11,27 +11,27 @@
 // partitioned cycle (simulator.cpp): a serial begin step (due fault
 // events, packet materialization in NI order, the RC tick), a per-shard
 // front step (NI injection, router step) and back step (commit, RC
-// permission delivery, the next cycle's injection draw), and a serial end
-// step (RC absorptions, watchdog, drain check). A serial run - every
+// permission delivery, the next cycle's wake-ups), and a serial end step
+// (RC absorptions, watchdog, drain check). A serial run - every
 // SimStepper run - calls the four steps inline on the calling thread at
 // one shard, with no worker threads and no rendezvous. With
-// SimKnobs::shards > 1, the active-set core and a lookahead-capable
-// traffic generator, Simulator::run calls them from one worker thread per
-// shard of a Partition into 2.5D columns (a chiplet and the interposer
-// beneath it). Results are bit-identical for any shard count
-// (tests/test_sim_sharded.cpp); configurations sharding cannot serve
-// (full-scan core, traffic without lookahead, one-column systems)
-// silently execute at one shard.
+// SimKnobs::shards > 1 on the active-set core, Simulator::run calls them
+// from one worker thread per shard of a Partition into 2.5D columns (a
+// chiplet and the interposer beneath it). Results are bit-identical for
+// any shard count (tests/test_sim_sharded.cpp); the full-scan core and
+// one-column systems silently execute at one shard.
 //
-// The cycle visits endpoints through a pending-NI worklist: an NI is
-// visited only when it holds undelivered packets or when its pre-drawn
-// next injection (TrafficGenerator::next_injection) comes due, so idle
-// endpoints cost zero per cycle; traffic without lookahead is polled at
-// every NI instead. The cycle's stats sink is a compile-time template
-// chosen by the measurement-window flag, so per-flit statistics vanish
-// from warmup and drain cycles. SimCore::full_scan runs the original
-// walk-everything loop instead - the semantic reference the equivalence
-// tests compare against; both cores are bit-identical for a fixed seed.
+// One injection path: each NI pre-draws its next injection
+// (TrafficGenerator::next_injection) into its shard's event heap, and a
+// request that carries a reply (PacketRequest::reply_at) queues the reply
+// at the responder's NI with a wake-up at its due cycle. The cycle visits
+// an NI only when it holds undelivered packets or an event comes due, so
+// idle endpoints cost zero per cycle. The stats sink is a compile-time
+// template chosen by the measurement-window flag, so per-flit statistics
+// vanish from warmup and drain cycles. SimCore::full_scan runs the
+// original walk-everything loop instead, calling TrafficGenerator::tick
+// at every NI every cycle - the semantic reference the equivalence tests
+// compare against; both cores are bit-identical for a fixed seed.
 //
 // All per-run state lives in a SimWorkspace arena. run() builds a private
 // one; run(SimWorkspace&) reuses the caller's across runs, which is what
@@ -95,10 +95,9 @@ struct SimKnobs {
   /// full scan. Results are bit-identical; only wall clock differs.
   SimCore core = SimCore::active_set;
   /// Shard / worker-thread count for the partitioned core: > 1 splits the
-  /// run across that many threads (capped by the system's chiplet count).
-  /// Results are bit-identical for every value; only wall clock differs.
-  /// Sharding requires the active-set core and a lookahead-capable
-  /// traffic generator - other configurations run serially.
+  /// run across that many threads (capped by the system's 2.5D column
+  /// count). Results are bit-identical for every value; only wall clock
+  /// differs. The full-scan core ignores it and runs serially.
   int shards = 1;
   /// Routing-randomness mode (see RngMode). `serial` preserves every
   /// historical digest; `counter` unlocks parallel packet materialization
@@ -114,11 +113,11 @@ struct SimKnobs {
 /// updates never share a line with a neighbouring shard's slice.
 struct alignas(64) ShardRun {
   /// NI worklist over the global NI index space: `busy` mirrors
-  /// NetworkInterface::busy() for the shard's NIs, `wake` marks NIs whose
-  /// scheduled injection fires this cycle, and `events` is a binary
-  /// min-heap over (cycle, NI index) holding each NI's pre-drawn next
-  /// injection, managed with std::push_heap/std::pop_heap (a
-  /// std::priority_queue would own - and reallocate - its container
+  /// NetworkInterface::busy() for the shard's NIs, `wake` marks NIs with
+  /// an event due this cycle, and `events` is a binary min-heap over
+  /// (cycle, NI index) holding each NI's pre-drawn next injection and a
+  /// wake-up per queued reply, managed with std::push_heap/std::pop_heap
+  /// (a std::priority_queue would own - and reallocate - its container
   /// privately).
   std::vector<std::uint64_t> busy;
   std::vector<std::uint64_t> wake;
@@ -233,12 +232,6 @@ class Simulator {
   friend class SnapshotAccess;
   friend struct CycleEngine;
 
-  /// Whether injections are pre-drawn per NI: lookahead traffic on the
-  /// active-set core. Sharding requires it; otherwise NIs are polled.
-  bool lookahead() const {
-    return knobs_.core == SimCore::active_set &&
-           traffic_->supports_lookahead();
-  }
   /// Resets every workspace plane for a fresh run (shared by the stepper
   /// and the worker loop) and returns the run's initial cursor.
   /// `partition` is non-null only for execution at more than one shard.
@@ -307,7 +300,6 @@ class SimStepper {
   Simulator* sim_ = nullptr;
   SimWorkspace* ws_ = nullptr;
   RunCursor cur_;
-  bool primed_ = false;  ///< initial injection events armed
   bool done_ = false;
   bool finished_ = false;
 };

@@ -10,9 +10,13 @@
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <iomanip>
+#include <limits>
 #include <sstream>
 #include <type_traits>
 #include <utility>
+
+#include "routing/deft_routing.hpp"
 
 namespace deft {
 namespace {
@@ -162,16 +166,6 @@ class Reader {
   std::size_t pos_ = 0;
 };
 
-VlFaultSet faults_from_bits(std::uint64_t bits) {
-  VlFaultSet set;
-  for (int b = 0; b < 64; ++b) {
-    if ((bits >> b) & 1) {
-      set.set_faulty(b);
-    }
-  }
-  return set;
-}
-
 }  // namespace
 
 /// Friend of every simulation class holding checkpointable state. Each
@@ -223,22 +217,14 @@ class SnapshotAccess {
 
   /// The whole payload after the fingerprint: the stepper's loop state,
   /// then the run it drives. A stepped run is serial, so its measured
-  /// deliveries count in shard slice 0; the injection mode is a function
-  /// of the configuration, stored for the image's sake and checked.
+  /// deliveries count in shard slice 0.
   template <class IO>
   static void walk(IO& io, Ref<IO, SimStepper> st) {
     auto& cur = st.cur_;
-    bool lookahead = st.sim_->lookahead();
-    io(cur.measure_end, cur.hard_end, cur.now, cur.idle_cycles, lookahead,
-       st.primed_, cur.deadlock, cur.drained, st.done_,
-       cur.counters.created, cur.counters.created_measured,
-       cur.counters.dropped_unroutable,
+    io(cur.measure_end, cur.hard_end, cur.now, cur.idle_cycles,
+       cur.deadlock, cur.drained, st.done_, cur.counters.created,
+       cur.counters.created_measured, cur.counters.dropped_unroutable,
        st.ws_->shard_runs_.front().delivered_measured);
-    if constexpr (!IO::kSaving) {
-      if (lookahead != st.sim_->lookahead()) {
-        throw SnapshotError("snapshot injection mode does not match the run");
-      }
-    }
     walk(io, *st.sim_);
     walk(io, *st.ws_, *st.sim_, cur.now);
     if constexpr (!IO::kSaving) {
@@ -287,7 +273,7 @@ class SnapshotAccess {
     walk(io, ws.packets_);
     walk(io, ws.net_);
     fixed(io, ws.nis_, 48, "snapshot NI count mismatch",
-          [&](auto& ni) { walk(io, ni); });
+          [&](auto& ni) { walk(io, ni, *sim.topo_, now); });
     walk(io, ws.rc_units_);
     walk(io, ws.surgeon_, sim);
     auto& sh = ws.shard_runs_.front();
@@ -530,8 +516,12 @@ class SnapshotAccess {
     io(f.packet, f.seq, f.kind);
   }
 
+  /// An NI paused before cycle `now`. Packet creation indexes the
+  /// topology by every destination its injection event and reply FIFO
+  /// name: restore admits only endpoints, and nothing already overdue.
   template <class IO>
-  static void walk(IO& io, Ref<IO, NetworkInterface> ni) {
+  static void walk(IO& io, Ref<IO, NetworkInterface> ni, const Topology& topo,
+                   Cycle now) {
     NodeId node = ni.node_;
     io(node);
     if (node != ni.node_) {
@@ -546,14 +536,43 @@ class SnapshotAccess {
     if constexpr (!IO::kSaving) {
       ni.rng_.set_state(rng);
       ni.route_rng_.set_counter(draws);
-      // Only the unconsumed queue slice is observable; it restores at
-      // head 0 (the cursor position is not behavior-affecting).
+      // Only the unconsumed FIFO slices are observable; they restore at
+      // head 0 (the cursor positions are not behavior-affecting).
       ni.queue_head_ = 0;
+      ni.replies_head_ = 0;
     }
     seq(io, ni.queue_, 4, io, ni.queue_head_);
     io(ni.active_, ni.active_size_, ni.active_initial_vcs_, ni.next_seq_,
-       ni.vc_, ni.perm_requested_, ni.vc_rr_);
-    seq(io, ni.scratch_, 5, [&](auto& req) { io(req.dst, req.app); });
+       ni.vc_, ni.perm_requested_, ni.vc_rr_, ni.injection_at_);
+    seq(io, ni.scratch_, 13, [&](auto& req) {
+      io(req.dst, req.app, req.reply_at);
+      endpoint<IO>(topo, req.dst, "pre-drawn request");
+    });
+    seq(io, ni.replies_, 13, [&](auto& reply) {
+      io(reply.due, reply.requester, reply.app);
+      endpoint<IO>(topo, reply.requester, "queued reply");
+      not_before<IO>(reply.due, now, "queued reply due");
+    }, ni.replies_head_);
+    not_before<IO>(ni.injection_at_, now, "NI injection event");
+  }
+
+  /// Restore-side check that `n` is an endpoint node of `topo`.
+  template <class IO>
+  static void endpoint(const Topology& topo, NodeId n, const char* what) {
+    if (!IO::kSaving && topo.endpoint_index(n) < 0) {
+      throw SnapshotError(std::string("snapshot ") + what + " names node " +
+                          std::to_string(n) + ", not an endpoint");
+    }
+  }
+
+  /// Restore-side check that cycle `c` is not before the paused cycle.
+  template <class IO>
+  static void not_before(Cycle c, Cycle now, const char* what) {
+    if (!IO::kSaving && c < now) {
+      throw SnapshotError(std::string("snapshot ") + what + " at cycle " +
+                          std::to_string(c) + " precedes the paused cycle " +
+                          std::to_string(now));
+    }
   }
 
   template <class IO>
@@ -573,19 +592,25 @@ class SnapshotAccess {
 
   template <class IO>
   static void walk(IO& io, Ref<IO, FaultSurgeon> s, Ref<IO, Simulator> sim) {
-    std::uint64_t fault_bits = s.faults_.bits();
-    io(s.cursor_, fault_bits, s.lost_, s.lost_measured_, s.first_fail_);
+    io(s.cursor_, s.faults_.words_, s.lost_, s.lost_measured_,
+       s.first_fail_);
     seq(io, s.intervals_, 16, io);
     seq(io, s.affected_, 1, io);
     if constexpr (!IO::kSaving) {
-      s.faults_ = faults_from_bits(fault_bits);
+      const std::vector<VlChannelId> faulty = s.faults_.channels();
+      const int channels = sim.topo_->num_vl_channels();
+      if (!faulty.empty() && faulty.back() >= channels) {
+        throw SnapshotError("snapshot fault set names VL channel " +
+                            std::to_string(faulty.back()) + " of " +
+                            std::to_string(channels));
+      }
       // Timeline events already applied before the pause changed the
       // fault set; rebuild the algorithm's tables for it (set_faults()
       // contract: identical state to construction under this set, RNG
       // untouched - the stream state restored earlier completes the
       // picture). The network-side channel marks were restored verbatim
       // with the planes.
-      if (fault_bits != sim.faults_.bits()) {
+      if (s.faults_ != sim.faults_) {
         sim.algorithm_->set_faults(s.faults_);
       }
     }
@@ -604,9 +629,14 @@ std::string SnapshotAccess::fingerprint(const Simulator& sim) {
       << "/m" << k.measure << "/d" << k.drain_max << "/wd"
       << k.watchdog_cycles << "/seed" << k.seed << "/core"
       << static_cast<int>(k.core) << "/rng" << static_cast<int>(k.rng_mode)
-      << " alg=" << sim.algorithm_->name() << "/"
-      << sim.algorithm_->num_vcs() << " traffic=" << sim.traffic_->name()
-      << " faults=0x" << std::hex << sim.faults_.bits() << std::dec
+      << " alg=" << sim.algorithm_->name();
+  if (const auto* d = dynamic_cast<const DeftRouting*>(sim.algorithm_)) {
+    out << "/" << vl_strategy_name(d->strategy());
+  }
+  out << "/" << sim.algorithm_->num_vcs() << " traffic="
+      << sim.traffic_->name() << "@"
+      << std::setprecision(std::numeric_limits<double>::max_digits10)
+      << sim.traffic_->rate() << " faults=" << sim.faults_.to_string()
       << " policy=" << static_cast<int>(sim.policy_) << " timeline=[";
   if (sim.timeline_ != nullptr) {
     for (const FaultEvent& ev : sim.timeline_->events()) {

@@ -2,7 +2,8 @@
 //
 // save_snapshot() serializes the complete mid-run state of a paused
 // SimStepper - router flit planes and ring metadata, input/output VC
-// state, NI FIFOs and RNG streams, RC-unit state, the injection event
+// state, NI FIFOs, reply queues, pre-drawn injections and RNG streams,
+// the traffic generator's per-run state, RC-unit state, the NI event
 // heap, the fault surgeon's cursor and window metrics, the interned
 // route/packet planes, and the in-progress results counters - into a
 // versioned, checksummed binary image. restore_snapshot() rebuilds that
@@ -18,10 +19,11 @@
 //
 // A snapshot is only meaningful against the exact run configuration it
 // was taken from, so the image embeds a configuration fingerprint (knobs,
-// topology shape, algorithm and traffic names, initial fault set, fault
-// timeline, in-flight policy) and restore_snapshot() rejects any
-// mismatch. Corrupt, truncated or version-mismatched images are rejected
-// with a SnapshotError diagnostic - never restored into a wrong result.
+// topology shape, algorithm name and DeFT's VL strategy, traffic name and
+// rate, initial fault set, fault timeline, in-flight policy) and
+// restore_snapshot() rejects any mismatch. Corrupt, truncated or
+// version-mismatched images are rejected with a SnapshotError diagnostic -
+// never restored into a wrong result.
 //
 // One walk per struct (snapshot.cpp): each checkpointed struct has a
 // single template that names its fields in image order, run once against
@@ -33,9 +35,9 @@
 // capacity, which a field walk cannot say without a second table.
 //
 // Run state left out of the image on purpose:
-//   - the fault surgeon's order_ and ni_of_node_, which reset() rebuilds
-//     from the timeline and the NIs, and its per-event scratch (doomed_,
-//     doomed_list_, pinned_empty_), reassigned at every event;
+//   - the fault surgeon's order_, which reset() rebuilds from the
+//     timeline, and its per-event scratch (doomed_, doomed_list_,
+//     pinned_empty_), reassigned at every event;
 //   - each NI's counter-stream key, a pure function of (seed, node) that
 //     prepare() rebuilds, and its prepared_ routes, empty at every pause
 //     (the back step before a pause draws nothing, so prepares nothing);
@@ -65,7 +67,11 @@ class SnapshotError : public std::runtime_error {
 
 /// Snapshot format version written by save_snapshot().
 /// v2: per-NI counter-based route-stream draw counts (rng_mode).
-inline constexpr std::uint32_t kSnapshotVersion = 2;
+/// v3: fault sets past 64 channels (the set's 2,048-bit words), per-NI
+/// reply FIFOs and own-event cycles, application burst flags, DeFT's VL
+/// strategy and the traffic rate in the fingerprint; no injection-mode or
+/// primed byte.
+inline constexpr std::uint32_t kSnapshotVersion = 3;
 
 /// Serializes the state of `stepper`'s paused run. The stepper must be
 /// started and not finished; the cycle boundary it is paused on is a

@@ -38,6 +38,9 @@ struct LatencySummary {
 
   /// Consumes (sorts) the sample.
   static LatencySummary from_samples(std::vector<std::uint32_t>& samples);
+
+  friend bool operator==(const LatencySummary&,
+                         const LatencySummary&) = default;
 };
 
 /// Everything a single simulation run reports.

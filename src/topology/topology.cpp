@@ -32,8 +32,10 @@ void Topology::validate_spec() const {
   std::vector<char> covered(static_cast<std::size_t>(spec_.interposer_width *
                                                      spec_.interposer_height),
                             0);
+  std::size_t vls = 0;
   for (std::size_t c = 0; c < spec_.chiplets.size(); ++c) {
     const ChipletSpec& ch = spec_.chiplets[c];
+    vls += ch.vl_positions.size();
     require(ch.width > 0 && ch.height > 0,
             "Topology: chiplet dimensions must be positive");
     require(ch.origin.x >= 0 && ch.origin.y >= 0 &&
@@ -65,6 +67,9 @@ void Topology::validate_spec() const {
               "Topology: duplicate VL position within a chiplet");
     }
   }
+  require(2 * vls <= static_cast<std::size_t>(kMaxVlChannels),
+          "Topology: more than " + std::to_string(kMaxVlChannels) +
+              " unidirectional VL channels (a fault set's capacity)");
   for (const Coord& d : spec_.dram_positions) {
     require(d.x >= 0 && d.x < spec_.interposer_width && d.y >= 0 &&
                 d.y < spec_.interposer_height,
@@ -116,6 +121,7 @@ void Topology::build_nodes() {
     }
   }
 
+  endpoint_index_.assign(nodes_.size(), -1);
   for (const Node& n : nodes_) {
     if (n.endpoint == EndpointKind::core) {
       cores_.push_back(n.id);
@@ -123,6 +129,8 @@ void Topology::build_nodes() {
       drams_.push_back(n.id);
     }
     if (n.endpoint != EndpointKind::none) {
+      endpoint_index_[static_cast<std::size_t>(n.id)] =
+          static_cast<int>(endpoints_.size());
       endpoints_.push_back(n.id);
     }
   }

@@ -107,6 +107,10 @@ struct VerticalLink {
 /// 8 * down + up, RoutingAlgorithm::pair_combo_mask).
 inline constexpr int kMaxVlsPerChiplet = 8;
 
+/// Most unidirectional VL channels a system may have: the capacity of a
+/// VlFaultSet, and the count of the 256-chiplet grid (1,024 VLs).
+inline constexpr int kMaxVlChannels = 2048;
+
 struct ChipletSpec {
   int width = 4;
   int height = 4;
@@ -178,6 +182,14 @@ class Topology {
   /// All nodes with a traffic endpoint (cores and DRAMs).
   const std::vector<NodeId>& endpoints() const { return endpoints_; }
 
+  /// Index of `n` in endpoints() - the index of its NI in a simulation -
+  /// or -1 when `n` is not an endpoint node (or not a node at all).
+  int endpoint_index(NodeId n) const {
+    return n >= 0 && n < num_nodes()
+               ? endpoint_index_[static_cast<std::size_t>(n)]
+               : -1;
+  }
+
   /// All nodes with a core endpoint.
   const std::vector<NodeId>& core_endpoints() const { return cores_; }
 
@@ -211,6 +223,7 @@ class Topology {
   std::vector<std::vector<NodeId>> chiplet_nodes_;
   std::vector<std::vector<VlId>> chiplet_vls_;
   std::vector<NodeId> endpoints_;
+  std::vector<int> endpoint_index_;  ///< node -> endpoints_ index, -1 = none
   std::vector<NodeId> cores_;
   std::vector<NodeId> drams_;
   std::vector<NodeId> interposer_grid_;  ///< (x, y) -> node id

@@ -1,5 +1,7 @@
 #include "traffic/app_profiles.hpp"
 
+#include <algorithm>
+
 namespace deft {
 
 const std::vector<AppProfile>& parsec_profiles() {
@@ -44,6 +46,10 @@ AppTrafficGenerator::AppTrafficGenerator(const Topology& topo,
   require(!apps_.empty(), "AppTrafficGenerator: need at least one app");
   require(reply_fraction_ >= 0.0 && reply_fraction_ <= 1.0,
           "AppTrafficGenerator: bad reply fraction");
+  // A reply due in its request's cycle would reach a lower-indexed
+  // responder the per-cycle walk already passed; no pre-draw can match.
+  require(service_delay_ >= 1,
+          "AppTrafficGenerator: service delay must be at least one cycle");
 
   // Shared L2 banks and coherence directories sit on the centre cores of
   // the first (up to) four chiplets, mirroring the paper's 4-bank/4-dir
@@ -58,7 +64,6 @@ AppTrafficGenerator::AppTrafficGenerator(const Topology& topo,
   }
 
   core_state_.assign(static_cast<std::size_t>(topo.num_nodes()), {});
-  replies_.assign(static_cast<std::size_t>(topo.num_nodes()), {});
   for (std::size_t a = 0; a < apps_.size(); ++a) {
     for (NodeId core : apps_[a].cores) {
       require(topo.node(core).endpoint == EndpointKind::core,
@@ -69,15 +74,6 @@ AppTrafficGenerator::AppTrafficGenerator(const Topology& topo,
       state.app = static_cast<int>(a);
     }
   }
-}
-
-double AppTrafficGenerator::offered_load() const {
-  double load = 0.0;
-  for (const AppAssignment& app : apps_) {
-    load += app.profile.rate * rate_scale_ *
-            static_cast<double>(app.cores.size());
-  }
-  return load;
 }
 
 NodeId AppTrafficGenerator::pick_destination(int app_index, NodeId src,
@@ -106,53 +102,67 @@ NodeId AppTrafficGenerator::pick_destination(int app_index, NodeId src,
 
 void AppTrafficGenerator::tick(NodeId src, Cycle cycle, Rng& rng,
                                std::vector<PacketRequest>& out) {
-  // Drain due replies first: L2/directory/DRAM endpoints answer requests.
-  auto& pending = replies_[static_cast<std::size_t>(src)];
-  while (!pending.empty() && pending.front().ready <= cycle) {
-    out.push_back({pending.front().dst, pending.front().app});
-    pending.pop_front();
-  }
+  next_injection(src, cycle, cycle + 1, rng, out);
+}
 
-  auto& state = core_state_[static_cast<std::size_t>(src)];
+Cycle AppTrafficGenerator::next_injection(NodeId src, Cycle from, Cycle limit,
+                                          Rng& rng,
+                                          std::vector<PacketRequest>& out) {
+  CoreState& state = core_state_[static_cast<std::size_t>(src)];
   if (state.app < 0) {
-    return;
+    return limit;  // endpoints running no application never draw
   }
   const AppProfile& p = apps_[static_cast<std::size_t>(state.app)].profile;
   // On/off burst modulation; the *average* rate equals p.rate, so bursts
   // inject at rate / duty while on.
-  if (state.on) {
-    if (rng.bernoulli(p.on_to_off)) {
-      state.on = false;
-    }
-  } else if (rng.bernoulli(p.off_to_on)) {
-    state.on = true;
-  }
-  if (!state.on) {
-    return;
-  }
-  const double burst_rate = p.rate * rate_scale_ / p.duty();
-  if (!rng.bernoulli(std::min(1.0, burst_rate))) {
-    return;
-  }
-  const NodeId dst = pick_destination(state.app, src, rng);
-  if (dst == kInvalidNode) {
-    return;
-  }
-  out.push_back({dst, static_cast<std::uint8_t>(state.app)});
+  const double burst_rate = std::min(1.0, p.rate * rate_scale_ / p.duty());
   // Requests to service endpoints produce a reply after a service delay.
-  const auto contains = [dst](const std::vector<NodeId>& pool) {
-    for (NodeId n : pool) {
-      if (n == dst) {
-        return true;
-      }
-    }
-    return false;
+  const auto serves = [this](NodeId dst) {
+    const auto in = [dst](const std::vector<NodeId>& pool) {
+      return std::find(pool.begin(), pool.end(), dst) != pool.end();
+    };
+    return topo_->node(dst).endpoint == EndpointKind::dram ||
+           in(l2_banks_) || in(directories_);
   };
-  const bool to_service = topo_->node(dst).endpoint == EndpointKind::dram ||
-                          contains(l2_banks_) || contains(directories_);
-  if (to_service && rng.bernoulli(reply_fraction_)) {
-    replies_[static_cast<std::size_t>(dst)].push_back(
-        {cycle + service_delay_, src, static_cast<std::uint8_t>(state.app)});
+  for (Cycle c = from; c < limit; ++c) {
+    if (state.on) {
+      if (rng.bernoulli(p.on_to_off)) {
+        state.on = false;
+      }
+    } else if (rng.bernoulli(p.off_to_on)) {
+      state.on = true;
+    }
+    if (!state.on || !rng.bernoulli(burst_rate)) {
+      continue;
+    }
+    const NodeId dst = pick_destination(state.app, src, rng);
+    if (dst == kInvalidNode) {
+      continue;
+    }
+    out.push_back({dst, static_cast<std::uint8_t>(state.app)});
+    if (serves(dst) && rng.bernoulli(reply_fraction_)) {
+      out.back().reply_at = c + service_delay_;
+    }
+    return c;
+  }
+  return limit;
+}
+
+void AppTrafficGenerator::save_stream_state(
+    std::vector<std::uint64_t>& out) const {
+  for (const CoreState& state : core_state_) {
+    out.push_back(state.on);
+  }
+}
+
+void AppTrafficGenerator::load_stream_state(
+    const std::vector<std::uint64_t>& in, std::size_t& cursor) {
+  require(in.size() - cursor >= core_state_.size(),
+          "application stream state: too few burst flags");
+  for (CoreState& state : core_state_) {
+    require(in[cursor] <= 1,
+            "application stream state: burst flag is neither 0 nor 1");
+    state.on = in[cursor++] == 1;
   }
 }
 

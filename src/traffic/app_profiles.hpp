@@ -7,7 +7,9 @@
 // injection process per core with a destination mix over the L2 banks,
 // directories, DRAM endpoints and peer cores, plus request->reply flows so
 // that directories/L2/DRAM endpoints answer back (replies from DRAM
-// exercise Algorithm 1's interposer-source case).
+// exercise Algorithm 1's interposer-source case). Replies are open-loop:
+// a request's draw fixes its reply cycle (PacketRequest::reply_at), so
+// each core is drawn ahead like any other source.
 //
 // Per-application average rates are chosen so that the two-application
 // combinations of Fig. 6(b) sort exactly in the paper's reported
@@ -15,7 +17,6 @@
 // BL+DE < SW+CA < ST+FL.
 #pragma once
 
-#include <deque>
 #include <string>
 
 #include "traffic/patterns.hpp"
@@ -57,7 +58,9 @@ class AppTrafficGenerator final : public TrafficGenerator {
  public:
   /// `rate_scale` multiplies every profile rate (sweep knob). Shared L2
   /// banks and directories are placed on the centre cores of the first
-  /// four chiplets; DRAM endpoints come from the topology.
+  /// four chiplets; DRAM endpoints come from the topology. A request to
+  /// one of them is answered with probability `reply_fraction`,
+  /// `service_delay` cycles (at least one) after it was drawn.
   AppTrafficGenerator(const Topology& topo, std::vector<AppAssignment> apps,
                       double rate_scale = 1.0, double reply_fraction = 0.5,
                       Cycle service_delay = 20);
@@ -65,22 +68,23 @@ class AppTrafficGenerator final : public TrafficGenerator {
   const char* name() const override { return "application"; }
   void tick(NodeId src, Cycle cycle, Rng& rng,
             std::vector<PacketRequest>& out) override;
+  Cycle next_injection(NodeId src, Cycle from, Cycle limit, Rng& rng,
+                       std::vector<PacketRequest>& out) override;
+  double rate() const override { return rate_scale_; }
+
+  /// Checkpointing: the burst flags are the generator's only per-run
+  /// state, one 0/1 word per node.
+  void save_stream_state(std::vector<std::uint64_t>& out) const override;
+  void load_stream_state(const std::vector<std::uint64_t>& in,
+                         std::size_t& cursor) override;
 
   const std::vector<NodeId>& l2_banks() const { return l2_banks_; }
   const std::vector<NodeId>& directories() const { return directories_; }
-
-  /// Aggregate offered load in packets/cycle over all cores.
-  double offered_load() const;
 
  private:
   struct CoreState {
     int app = -1;    ///< index into apps_, -1 = not running anything
     bool on = false; ///< burst state
-  };
-  struct PendingReply {
-    Cycle ready;
-    NodeId dst;
-    std::uint8_t app;
   };
 
   NodeId pick_destination(int app_index, NodeId src, Rng& rng) const;
@@ -93,8 +97,6 @@ class AppTrafficGenerator final : public TrafficGenerator {
   std::vector<NodeId> l2_banks_;
   std::vector<NodeId> directories_;
   std::vector<CoreState> core_state_;  ///< indexed by node id
-  /// Replies queued per responder node (FIFO by ready cycle).
-  std::vector<std::deque<PendingReply>> replies_;
 };
 
 }  // namespace deft

@@ -14,58 +14,61 @@
 
 namespace deft {
 
+/// PacketRequest::reply_at of a request nobody answers.
+inline constexpr Cycle kNoReply = -1;
+
 /// A packet the generator wants injected at a given source this cycle.
 struct PacketRequest {
   NodeId dst = kInvalidNode;
   std::uint8_t app = 0;  ///< traffic class (application id)
+  /// Cycle at which `dst` sends the source a reply (same app), or
+  /// kNoReply. The reply is queued at dst's NI when the request
+  /// materializes, even if the request itself is unroutable.
+  Cycle reply_at = kNoReply;
 };
 
-/// Stateful traffic source shared by all NIs; tick() is called once per
-/// endpoint per cycle with the NI's private RNG stream.
+/// Stateful traffic source shared by all NIs, drawing from each NI's
+/// private RNG stream. A source's draws may touch only that source's own
+/// generator state, never another source's: the simulator pre-draws each
+/// NI's next injection (next_injection) while the other sources run
+/// ahead or behind it. Sources couple only through data - a request's
+/// `reply_at` schedules a reply at its destination's NI.
 class TrafficGenerator {
  public:
   virtual ~TrafficGenerator() = default;
   virtual const char* name() const = 0;
-  /// Appends this cycle's requests for endpoint `src` to `out`.
+  /// The per-cycle oracle: appends this cycle's requests for endpoint
+  /// `src` to `out`. The full-scan reference core calls it at every NI
+  /// every cycle.
   virtual void tick(NodeId src, Cycle cycle, Rng& rng,
                     std::vector<PacketRequest>& out) = 0;
 
-  /// True when next_injection() may replace per-cycle tick() polling.
-  /// Requires per-source-independent generation whose timing the
-  /// generator can predict without being ticked every cycle: either
-  /// cycle-stationary random draws (tick() ignores `cycle`, as in the
-  /// five synthetic patterns) or fully predetermined schedules (trace
-  /// replay's per-source cursors). Draws of one source must never
-  /// influence another source's output, which rules out request/reply
-  /// generators. The simulator then asks each idle source for its next
-  /// injection event in one batched call instead of polling every
-  /// endpoint every cycle.
-  virtual bool supports_lookahead() const { return false; }
-
-  /// Batched lookahead (only meaningful when supports_lookahead()).
-  /// Consumes `rng` and any internal cursors exactly as successive tick()
-  /// calls for the cycles `from`, `from + 1`, ... would - so scheduled
-  /// and per-cycle execution see bit-identical request streams - and
-  /// returns the first cycle < `limit` whose tick() produces requests,
-  /// appending them to `out`. Returns `limit` (with `out` untouched) when
-  /// no injection happens in [from, limit).
+  /// Pre-draws source `src`'s next injection event. Consumes `rng` and
+  /// the source's generator state exactly as successive tick() calls for
+  /// the cycles `from`, `from + 1`, ... would - so scheduled and
+  /// per-cycle execution see bit-identical request streams - and returns
+  /// the first cycle < `limit` whose tick() produces requests, appending
+  /// them to `out`. Returns `limit` (with `out` untouched) when no
+  /// injection happens in [from, limit). The default loops over tick();
+  /// generators override it to skip the per-cycle dispatch.
   virtual Cycle next_injection(NodeId src, Cycle from, Cycle limit, Rng& rng,
                                std::vector<PacketRequest>& out);
 
+  /// Injection rate in packets/cycle/core (an application mix's rate
+  /// scale; 0 for trace replay), named in checkpoint fingerprints.
+  virtual double rate() const { return 0.0; }
+
   /// Simulation checkpointing (sim/snapshot.hpp): generators holding
   /// per-run mutable state beyond the NI RNG streams (trace replay's
-  /// per-source cursors) expose it here so a restored run resumes
-  /// mid-stream. The five synthetic patterns are stateless per run and
-  /// keep the empty defaults; save and load must round-trip (load
-  /// consumes exactly the words save appended).
-  virtual void save_stream_state(std::vector<std::uint64_t>& out) const {
-    (void)out;
-  }
-  virtual void load_stream_state(const std::vector<std::uint64_t>& in,
-                                 std::size_t& cursor) {
-    (void)in;
-    (void)cursor;
-  }
+  /// per-source cursors, application traffic's burst flags) expose it
+  /// here so a restored run resumes mid-stream. The five synthetic
+  /// patterns are stateless per run and keep the empty defaults; save and
+  /// load must round-trip (load consumes exactly the words save
+  /// appended).
+  virtual void save_stream_state(
+      std::vector<std::uint64_t>& /*out*/) const {}
+  virtual void load_stream_state(const std::vector<std::uint64_t>& /*in*/,
+                                 std::size_t& /*cursor*/) {}
 };
 
 /// Uniform random: every core sends to a uniformly random other core.
@@ -75,9 +78,9 @@ class UniformTraffic final : public TrafficGenerator {
   const char* name() const override { return "uniform"; }
   void tick(NodeId src, Cycle cycle, Rng& rng,
             std::vector<PacketRequest>& out) override;
-  bool supports_lookahead() const override { return true; }
   Cycle next_injection(NodeId src, Cycle from, Cycle limit, Rng& rng,
                        std::vector<PacketRequest>& out) override;
+  double rate() const override { return rate_; }
 
  private:
   const Topology* topo_;
@@ -93,9 +96,9 @@ class LocalizedTraffic final : public TrafficGenerator {
   const char* name() const override { return "localized"; }
   void tick(NodeId src, Cycle cycle, Rng& rng,
             std::vector<PacketRequest>& out) override;
-  bool supports_lookahead() const override { return true; }
   Cycle next_injection(NodeId src, Cycle from, Cycle limit, Rng& rng,
                        std::vector<PacketRequest>& out) override;
+  double rate() const override { return rate_; }
 
  private:
   void emit_destination(NodeId src, Rng& rng, std::vector<PacketRequest>& out);
@@ -116,9 +119,9 @@ class HotspotTraffic final : public TrafficGenerator {
   const char* name() const override { return "hotspot"; }
   void tick(NodeId src, Cycle cycle, Rng& rng,
             std::vector<PacketRequest>& out) override;
-  bool supports_lookahead() const override { return true; }
   Cycle next_injection(NodeId src, Cycle from, Cycle limit, Rng& rng,
                        std::vector<PacketRequest>& out) override;
+  double rate() const override { return rate_; }
   const std::vector<NodeId>& hotspots() const { return hotspots_; }
 
  private:
@@ -137,9 +140,9 @@ class TransposeTraffic final : public TrafficGenerator {
   const char* name() const override { return "transpose"; }
   void tick(NodeId src, Cycle cycle, Rng& rng,
             std::vector<PacketRequest>& out) override;
-  bool supports_lookahead() const override { return true; }
   Cycle next_injection(NodeId src, Cycle from, Cycle limit, Rng& rng,
                        std::vector<PacketRequest>& out) override;
+  double rate() const override { return rate_; }
 
  private:
   const Topology* topo_;
@@ -154,9 +157,9 @@ class BitComplementTraffic final : public TrafficGenerator {
   const char* name() const override { return "bit-complement"; }
   void tick(NodeId src, Cycle cycle, Rng& rng,
             std::vector<PacketRequest>& out) override;
-  bool supports_lookahead() const override { return true; }
   Cycle next_injection(NodeId src, Cycle from, Cycle limit, Rng& rng,
                        std::vector<PacketRequest>& out) override;
+  double rate() const override { return rate_; }
 
  private:
   const Topology* topo_;

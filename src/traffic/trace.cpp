@@ -67,20 +67,19 @@ std::vector<TraceRecord> record_uniform_trace(const Topology& topo,
   return records;
 }
 
-TraceReplayGenerator::TraceReplayGenerator(std::vector<TraceRecord> records)
-    : records_(std::move(records)) {
+TraceReplayGenerator::TraceReplayGenerator(std::vector<TraceRecord> records) {
   NodeId max_node = 0;
-  for (const TraceRecord& r : records_) {
+  for (const TraceRecord& r : records) {
     require(r.src >= 0 && r.dst >= 0, "TraceReplayGenerator: bad node id");
     max_node = std::max({max_node, r.src, r.dst});
   }
   per_source_.assign(static_cast<std::size_t>(max_node) + 1, {});
   cursor_.assign(static_cast<std::size_t>(max_node) + 1, 0);
-  std::stable_sort(records_.begin(), records_.end(),
+  std::stable_sort(records.begin(), records.end(),
                    [](const TraceRecord& a, const TraceRecord& b) {
                      return a.cycle < b.cycle;
                    });
-  for (const TraceRecord& r : records_) {
+  for (const TraceRecord& r : records) {
     per_source_[static_cast<std::size_t>(r.src)].push_back(r);
   }
 }
@@ -101,7 +100,7 @@ void TraceReplayGenerator::tick(NodeId src, Cycle cycle, Rng& /*rng*/,
 Cycle TraceReplayGenerator::next_injection(NodeId src, Cycle from, Cycle limit,
                                            Rng& /*rng*/,
                                            std::vector<PacketRequest>& out) {
-  // Replay draws nothing from the RNG, so lookahead only has to mirror
+  // Replay draws nothing from the RNG, so the pre-draw only has to mirror
   // tick()'s cursor movement: the next event is the first unconsumed
   // record's cycle (or `from`, if that record is already overdue), and the
   // event batches every record up to and including that cycle - exactly

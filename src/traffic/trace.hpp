@@ -28,7 +28,6 @@ class TraceRecorder {
  public:
   void record(Cycle cycle, NodeId src, NodeId dst, std::uint8_t app);
   void write(std::ostream& out) const;
-  const std::vector<TraceRecord>& records() const { return records_; }
 
  private:
   std::vector<TraceRecord> records_;
@@ -47,13 +46,9 @@ std::vector<TraceRecord> record_uniform_trace(const Topology& topo,
 
 /// Replays a trace as a TrafficGenerator. Records must be sorted by cycle
 /// (ties in any order); each is injected at its source when its cycle is
-/// reached.
-///
-/// Supports injection lookahead: records are bucketed per source at
-/// construction and each source's cursor advances independently, so the
-/// next injection cycle of an idle source is a cursor read rather than a
-/// per-cycle poll - trace workloads ride the simulator's scheduled
-/// injection path like the synthetic patterns do.
+/// reached. Records are bucketed per source at construction and each
+/// source's cursor advances independently, so a source's next injection
+/// cycle is a cursor read rather than a per-cycle poll.
 class TraceReplayGenerator final : public TrafficGenerator {
  public:
   explicit TraceReplayGenerator(std::vector<TraceRecord> records);
@@ -61,7 +56,6 @@ class TraceReplayGenerator final : public TrafficGenerator {
   const char* name() const override { return "trace"; }
   void tick(NodeId src, Cycle cycle, Rng& rng,
             std::vector<PacketRequest>& out) override;
-  bool supports_lookahead() const override { return true; }
   Cycle next_injection(NodeId src, Cycle from, Cycle limit, Rng& rng,
                        std::vector<PacketRequest>& out) override;
 
@@ -90,9 +84,7 @@ class TraceReplayGenerator final : public TrafficGenerator {
   }
 
  private:
-  std::vector<TraceRecord> records_;  ///< sorted by (cycle, src)
-  /// Per-source cursor into records_ would need per-source ordering;
-  /// instead records are bucketed per source at construction.
+  /// The records bucketed per source, each bucket in cycle order.
   std::vector<std::vector<TraceRecord>> per_source_;
   std::vector<std::size_t> cursor_;
 };

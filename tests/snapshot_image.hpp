@@ -43,6 +43,13 @@ inline void set_image_u64(std::vector<std::uint8_t>& image, std::size_t at,
   }
 }
 
+inline void set_image_u32(std::vector<std::uint8_t>& image, std::size_t at,
+                          std::uint32_t v) {
+  for (std::size_t i = 0; i < 4; ++i) {
+    image.at(at + i) = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+}
+
 /// Rewrites the header's payload length and checksum to match the payload
 /// `image` now holds (after a truncation or an in-place edit).
 inline void reseal(std::vector<std::uint8_t>& image) {
@@ -61,10 +68,18 @@ inline std::size_t loop_state_offset(const std::vector<std::uint8_t>& image) {
 }
 
 /// Offset of the routing algorithm's stream word count, after the loop
-/// state (four 8-byte cycles, five bools, four 8-byte counters).
+/// state (four 8-byte cycles, three bools, four 8-byte counters).
 inline std::size_t algorithm_stream_count_offset(
     const std::vector<std::uint8_t>& image) {
-  return loop_state_offset(image) + 4 * 8 + 5 + 4 * 8;
+  return loop_state_offset(image) + 4 * 8 + 3 + 4 * 8;
+}
+
+/// Offset of the traffic generator's stream word count, after the
+/// algorithm's words.
+inline std::size_t traffic_stream_count_offset(
+    const std::vector<std::uint8_t>& image) {
+  const std::size_t at = algorithm_stream_count_offset(image);
+  return at + 8 + 8 * image_u64(image, at);
 }
 
 /// Offsets of the NI worklist's three length fields - busy words, wake
@@ -136,8 +151,7 @@ struct RouterPlaneOffsets {
 /// and then the worklist.
 inline RouterPlaneOffsets empty_router_plane(
     const std::vector<std::uint8_t>& image) {
-  std::size_t at = algorithm_stream_count_offset(image);
-  at += 8 + 8 * image_u64(image, at);
+  std::size_t at = traffic_stream_count_offset(image);
   at += 8 + 8 * image_u64(image, at);
   if (image_u64(image, at) != 0 || image_u64(image, at + 8) != 0) {
     throw std::runtime_error("snapshot image holds packets");
@@ -150,6 +164,61 @@ inline RouterPlaneOffsets empty_router_plane(
     at += 8 + 8 * image_u64(image, at);
   }
   return {first, at};
+}
+
+/// Offsets of the fields of one NI record the rejection tests edit.
+struct NiRecord {
+  std::size_t injection_at;  ///< the own injection event's 8-byte cycle
+  /// The pre-drawn request count, then 13-byte records: 4-byte
+  /// destination, app byte, 8-byte reply cycle.
+  std::size_t drawn;
+  /// The queued reply count, then 13-byte records: 8-byte due cycle,
+  /// 4-byte requester, app byte.
+  std::size_t replies;
+};
+
+/// Walks an image from the front to its NI plane. After the two stream
+/// sections come the packet table (22-byte routes, 8-byte hot records and
+/// 24-byte timestamp records, one per packet), the routers (each lane's
+/// fill count followed by its 7-byte flits, then the fixed rest of
+/// kEmptyRouterBytes), five length-prefixed network planes (channel fault
+/// marks of 1 byte, then VL next-free cycles, NI credits, RC credits and
+/// the active-router words of 8 bytes), the lane's two 8-byte counters,
+/// and the NI count. Each NI opens with its node, RNG state and route
+/// draws (44 bytes), its queue (count, 4-byte ids) and 15 bytes of
+/// active-packet state.
+inline std::vector<NiRecord> ni_records(const std::vector<std::uint8_t>& image) {
+  std::size_t at = traffic_stream_count_offset(image);
+  at += 8 + 8 * image_u64(image, at);
+  at += 8 + 22 * image_u64(image, at);
+  at += 8 + (8 + 24) * image_u64(image, at);
+  const std::uint64_t routers = image_u64(image, at);
+  at += 8;
+  for (std::uint64_t r = 0; r < routers; ++r) {
+    for (std::size_t lane = 0; lane < kRouterInputVcs; ++lane) {
+      at += 1 + kFlitBytes * image.at(at);
+    }
+    at += kEmptyRouterBytes - kRouterInputVcs;
+  }
+  at += 8 + image_u64(image, at);
+  for (int plane = 0; plane < 4; ++plane) {
+    at += 8 + 8 * image_u64(image, at);
+  }
+  at += 2 * 8;
+  std::vector<NiRecord> nis(static_cast<std::size_t>(image_u64(image, at)));
+  at += 8;
+  for (NiRecord& ni : nis) {
+    at += 44;
+    at += 8 + 4 * image_u64(image, at);
+    at += 15;
+    ni.injection_at = at;
+    at += 8;
+    ni.drawn = at;
+    at += 8 + 13 * image_u64(image, at);
+    ni.replies = at;
+    at += 8 + 13 * image_u64(image, at);
+  }
+  return nis;
 }
 
 }  // namespace deft

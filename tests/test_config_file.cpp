@@ -83,6 +83,16 @@ TEST(ConfigFile, RejectsUnknownKeys) {
   EXPECT_NE(removed.find("config: line 2:"), std::string::npos) << removed;
   EXPECT_NE(removed.find("unknown key 'batch_size'"), std::string::npos)
       << removed;
+  // The deleted perf-matrix hooks of the CLI driver.
+  for (const char* key : {"perf_json", "scenario", "repeats"}) {
+    SCOPED_TRACE(key);
+    const std::string message = thrown_message([key] {
+      parse_simulation_config(std::string(key) + " = 3\n");
+    });
+    EXPECT_NE(message.find("unknown key '" + std::string(key) + "'"),
+              std::string::npos)
+        << message;
+  }
 }
 
 TEST(ConfigFile, RejectsMalformedLines) {
@@ -178,30 +188,12 @@ TEST(ConfigFile, BuildsEveryTrafficPattern) {
   EXPECT_THROW(bad.make_traffic(topo), std::invalid_argument);
 }
 
-TEST(ConfigFile, ParsesShardsAndPerfMatrixHooks) {
-  const SimulationConfig c = parse_simulation_config(std::string(R"(
-    shards    = 4
-    scenario  = ref4/uniform/f0/DeFT
-    repeats   = 5
-    perf_json = out.json
-  )"));
+TEST(ConfigFile, ParsesShards) {
+  const SimulationConfig c =
+      parse_simulation_config(std::string("shards = 4\n"));
   EXPECT_EQ(c.knobs.shards, 4);
-  EXPECT_EQ(c.scenario, "ref4/uniform/f0/DeFT");
-  EXPECT_EQ(c.repeats, 5);
-  EXPECT_EQ(c.perf_json, "out.json");
-  const Topology topo(make_reference_spec(4));
-  EXPECT_EQ(c.scenario_key(topo), "ref4/uniform/f0/DeFT");
   EXPECT_THROW(parse_simulation_config(std::string("shards = 0\n")),
                std::invalid_argument);
-  EXPECT_THROW(parse_simulation_config(std::string("repeats = 0\n")),
-               std::invalid_argument);
-}
-
-TEST(ConfigFile, DerivesTheScenarioKeyFromTheConfiguration) {
-  const SimulationConfig c = parse_simulation_config(std::string(
-      "chiplets = 6\nalgorithm = mtr\ntraffic = hotspot\nfaults = 0v 3^\n"));
-  const Topology topo(make_reference_spec(6));
-  EXPECT_EQ(c.scenario_key(topo), "6c/hotspot/f2/MTR");
 }
 
 TEST(ConfigFile, BuildsSyntheticTraceReplayWorkloads) {
@@ -213,7 +205,6 @@ TEST(ConfigFile, BuildsSyntheticTraceReplayWorkloads) {
   const Topology topo(make_reference_spec(4));
   const auto gen = c.make_traffic(topo);
   EXPECT_EQ(std::string(gen->name()), "trace");
-  EXPECT_TRUE(gen->supports_lookahead());
 
   // Without a source the trace workload is rejected loudly.
   const SimulationConfig bad =

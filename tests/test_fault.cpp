@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/combinatorics.hpp"
+#include "core/runner.hpp"
 #include "fault/scenario.hpp"
 #include "topology/builder.hpp"
 
@@ -108,6 +109,56 @@ TEST_F(FaultTest, ToStringMarksDirections) {
   VlFaultSet f = VlFaultSet::of({0, 3});
   // Channel 0 = VL0 down, channel 3 = VL1 up.
   EXPECT_EQ(f.to_string(), "{0v,1^}");
+}
+
+TEST(FaultSet, ChannelsPastSixtyFourStayDistinct) {
+  // A 3x3 grid of 4-VL chiplets has 72 channels. When the set was one
+  // 64-bit word, channel 64 aliased channel 0: a fault on 64 took channel
+  // 0 down instead (or, with a constant id, vanished).
+  const ExperimentContext ctx(make_grid_spec(3, 3, 4, 4));
+  const Topology& topo = ctx.topo();
+  ASSERT_EQ(topo.num_vl_channels(), 72);
+  VlFaultSet faults;
+  for (VlChannelId c = 0; c < topo.num_vl_channels(); ++c) {
+    if (c == 64) {  // a runtime id, as the simulator computes them
+      faults.set_faulty(c);
+    }
+  }
+  EXPECT_FALSE(faults.is_faulty(0));
+  EXPECT_TRUE(faults.is_faulty(64));
+  EXPECT_EQ(faults.count(), 1);
+  EXPECT_EQ(faults.channels(), std::vector<VlChannelId>{64});
+  EXPECT_EQ(faults.to_string(), "{32v}");
+  EXPECT_EQ(faults.chiplet_down_mask(topo, 0), 0u);
+  EXPECT_EQ(faults.chiplet_down_mask(topo, 8), 1u);
+
+  // The network honours the same set: channel 64 carries nothing, and
+  // channel 0 carries traffic.
+  SimKnobs knobs;
+  knobs.warmup = 200;
+  knobs.measure = 800;
+  knobs.drain_max = 2000;
+  knobs.seed = 3;
+  UniformTraffic traffic(topo, 0.01);
+  const SimResults r =
+      run_sim(ctx, Algorithm::deft, traffic, knobs, faults);
+  EXPECT_TRUE(r.drained);
+  EXPECT_GT(r.vl_channel_flits[0], 0u);
+  EXPECT_EQ(r.vl_channel_flits[64], 0u);
+}
+
+TEST(FaultSet, HoldsEveryChannelOfTheLargestGrid) {
+  // The 256-chiplet grid's 2,048 channels fill the set exactly; a larger
+  // system is rejected when its topology is built.
+  const Topology grid256(make_grid_spec(16, 16, 4, 4));
+  ASSERT_EQ(grid256.num_vl_channels(), kMaxVlChannels);
+  VlFaultSet faults;
+  faults.set_faulty(kMaxVlChannels - 1);
+  EXPECT_EQ(faults.channels(),
+            std::vector<VlChannelId>{kMaxVlChannels - 1});
+  EXPECT_FALSE(faults.is_faulty(kMaxVlChannels - 1 - 64));
+  EXPECT_THROW(Topology(make_grid_spec(17, 16, 4, 4)),
+               std::invalid_argument);
 }
 
 TEST(FaultScenario, PaperFaultRates) {

@@ -616,10 +616,15 @@ TEST(CampaignEngine, CorruptCheckpointRestartsCleanFromCycleZero) {
   ASSERT_EQ(image_u64(short_stream, at), 4u);
   set_image_u64(short_stream, at, 3);
   reseal(short_stream);
+  // The same checkpoint stamped with format version 2, as a build before
+  // the v3 bump wrote it: rejected on the version.
+  std::vector<std::uint8_t> older_format = read_snapshot_file(image);
+  older_format.at(8) = 2;
 
   const std::string inputs[] = {
       "this is not a snapshot",
-      std::string(short_stream.begin(), short_stream.end())};
+      std::string(short_stream.begin(), short_stream.end()),
+      std::string(older_format.begin(), older_format.end())};
   for (const std::string& bytes : inputs) {
     SCOPED_TRACE(bytes.size());
     ASSERT_TRUE(atomic_write_file(image, bytes));

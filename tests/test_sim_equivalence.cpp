@@ -10,14 +10,15 @@
 //
 //  2. Cross-core equality: for every algorithm / VL strategy / traffic
 //     pattern / fault / serialization configuration, SimCore::active_set
-//     (worklists, scheduled injection lookahead, phase-segmented loops,
-//     compile-time sinks) must produce field-identical SimResults to
+//     (worklists, pre-drawn injections and scheduled replies, phase-
+//     segmented loops, compile-time sinks) must produce field-identical
+//     SimResults to
 //     SimCore::full_scan for the same seed.
 #include <gtest/gtest.h>
 
+#include "app_traffic.hpp"
 #include "core/runner.hpp"
 #include "sim_results_checks.hpp"
-#include "traffic/app_profiles.hpp"
 #include "traffic/trace.hpp"
 
 namespace deft {
@@ -104,7 +105,7 @@ TEST(SimEquivalence, ActiveSetMatchesFullScanOnGoldenConfigs) {
 }
 
 TEST(SimEquivalence, ActiveSetMatchesFullScanAcrossTrafficPatterns) {
-  // Exercises every lookahead implementation (localized, hotspot,
+  // Exercises every next_injection implementation (localized, hotspot,
   // transpose, bit-complement) plus a serialized-VL fault scenario. The
   // digests pin the results themselves, so a change in code both cores
   // share cannot pass by agreement alone.
@@ -205,11 +206,11 @@ TEST(SimEquivalence, SixChipletHotspotMatchesAcrossCores) {
 }
 
 TEST(SimEquivalence, TraceReplayLookaheadMatchesPollingAcrossCores) {
-  // The active-set core now rides TraceReplayGenerator's per-source-cursor
-  // lookahead; the full-scan reference still polls tick() every cycle.
-  // Both must reproduce the digests captured before the lookahead existed
-  // (when every core polled traces), for DeFT and MTR, fault-free and
-  // under faults.
+  // The active-set core pre-draws TraceReplayGenerator's per-source
+  // cursors; the full-scan reference still polls tick() every cycle. Both
+  // must reproduce the digests captured before the pre-draw existed (when
+  // every core polled traces), for DeFT and MTR, fault-free and under
+  // faults.
   struct TraceGolden {
     const char* name;
     Algorithm algorithm;
@@ -233,7 +234,6 @@ TEST(SimEquivalence, TraceReplayLookaheadMatchesPollingAcrossCores) {
     for (SimCore core : {SimCore::full_scan, SimCore::active_set}) {
       // Replay consumes the generator's cursors: fresh instance per run.
       TraceReplayGenerator traffic(records);
-      ASSERT_TRUE(traffic.supports_lookahead());
       results[core == SimCore::active_set] =
           run_sim(ctx4(), g.algorithm, traffic, golden_knobs(core), faults);
     }
@@ -288,28 +288,24 @@ TEST(SimEquivalence, TraceLookaheadConsumesCursorsExactlyLikePolling) {
   ASSERT_EQ(out.size(), 1u);
 }
 
-// BL application traffic on every core of the reference system, DeFT,
-// golden_knobs. Shared with test_sim_sharded.cpp's serial-fallback test.
-constexpr std::uint64_t kBlDigest = 0x591763cf083352a3ULL;
-
-TEST(SimEquivalence, ActiveSetMatchesFullScanWithoutLookahead) {
-  // Application traffic couples sources through request/reply flows, so it
-  // declines lookahead; the active-set core must fall back to per-cycle
-  // polling and still match the reference bit for bit.
-  const AppProfile& app = profile_by_code("BL");
-  ASSERT_FALSE(AppTrafficGenerator(ctx4().topo(),
-                                   {{app, ctx4().topo().core_endpoints()}})
-                   .supports_lookahead());
-  SimResults results[2];
-  for (SimCore core : {SimCore::full_scan, SimCore::active_set}) {
-    AppTrafficGenerator traffic(ctx4().topo(),
-                                {{app, ctx4().topo().core_endpoints()}});
-    results[core == SimCore::active_set] =
-        run_sim(ctx4(), Algorithm::deft, traffic, golden_knobs(core));
+TEST(SimEquivalence, ActiveSetMatchesFullScanOnApplicationTraffic) {
+  // Application traffic couples sources through request/reply flows: the
+  // active-set core queues each reply at its responder's NI when the
+  // request materializes, the reference core polls tick() at every NI.
+  // Both must match each other and the digests of the polling era
+  // (app_traffic.hpp).
+  for (const AppGolden& g : kAppGoldens) {
+    SCOPED_TRACE(g.name);
+    SimResults results[2];
+    for (SimCore core : {SimCore::full_scan, SimCore::active_set}) {
+      AppTrafficGenerator traffic = g.make(ctx4().topo());
+      results[core == SimCore::active_set] =
+          run_sim(ctx4(), Algorithm::deft, traffic, golden_knobs(core));
+    }
+    expect_identical(results[0], results[1]);
+    EXPECT_EQ(digest(results[1]), g.expected_digest)
+        << "0x" << std::hex << digest(results[1]);
   }
-  expect_identical(results[0], results[1]);
-  EXPECT_EQ(digest(results[1]), kBlDigest)
-      << "0x" << std::hex << digest(results[1]);
 }
 
 TEST(SimEquivalence, LookaheadConsumesRngExactlyLikePolling) {
@@ -322,7 +318,6 @@ TEST(SimEquivalence, LookaheadConsumesRngExactlyLikePolling) {
   for (const char* name : patterns) {
     SCOPED_TRACE(name);
     const auto gen = make_traffic(topo, name, 0.03);
-    ASSERT_TRUE(gen->supports_lookahead());
     for (NodeId src : {topo.core_endpoints()[5], topo.dram_endpoints()[0]}) {
       Rng polled(99);
       Rng batched(99);
@@ -345,6 +340,53 @@ TEST(SimEquivalence, LookaheadConsumesRngExactlyLikePolling) {
       }
       // Identical stream consumption: the next draws must agree.
       EXPECT_EQ(polled.next(), batched.next());
+    }
+  }
+
+  // Application traffic carries per-core burst state and reply cycles:
+  // successive next_injection() calls on one generator must visit the
+  // (cycle, requests) sequence tick() polling produces on a twin - the
+  // reply cycles included - and leave the RNG where polling leaves it.
+  // A short service delay and full reply fraction make replies frequent.
+  const std::vector<AppAssignment> apps = {
+      {profile_by_code("ST"), topo.core_endpoints()}};
+  AppTrafficGenerator polled_gen(topo, apps, 2.5, 1.0, 5);
+  AppTrafficGenerator batched_gen(topo, apps, 2.5, 1.0, 5);
+  for (NodeId src : {topo.core_endpoints()[5], topo.core_endpoints()[40],
+                     topo.dram_endpoints()[0]}) {
+    SCOPED_TRACE(src);
+    Rng polled(99);
+    Rng batched(99);
+    const Cycle limit = 3000;
+    std::size_t replies = 0;
+    for (Cycle from = 0; from < limit;) {
+      std::vector<PacketRequest> expected;
+      Cycle expected_cycle = limit;
+      for (Cycle c = from; c < limit && expected.empty(); ++c) {
+        polled_gen.tick(src, c, polled, expected);
+        if (!expected.empty()) {
+          expected_cycle = c;
+        }
+      }
+      std::vector<PacketRequest> got;
+      const Cycle got_cycle =
+          batched_gen.next_injection(src, from, limit, batched, got);
+      ASSERT_EQ(got_cycle, expected_cycle);
+      ASSERT_EQ(got.size(), expected.size());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].dst, expected[i].dst);
+        EXPECT_EQ(got[i].app, expected[i].app);
+        EXPECT_EQ(got[i].reply_at, expected[i].reply_at);
+        if (got[i].reply_at != kNoReply) {
+          EXPECT_EQ(got[i].reply_at, got_cycle + 5);
+          ++replies;
+        }
+      }
+      from = got_cycle + 1;
+    }
+    EXPECT_EQ(polled.next(), batched.next());
+    if (topo.node(src).endpoint == EndpointKind::core) {
+      EXPECT_GT(replies, 0u);
     }
   }
 }

@@ -18,18 +18,20 @@
 //
 //  3. Cross-shard-count equality on wider configurations (every
 //     algorithm, VL strategy, traffic pattern, fault count, serialized
-//     VLs, the 6-chiplet system), including SimWorkspace reuse across
-//     *differing* shard counts and the serial fallbacks (full-scan core,
-//     non-lookahead traffic).
+//     VLs, the 6-chiplet system, application traffic), including
+//     SimWorkspace reuse across *differing* shard counts and the full-scan
+//     core's serial fallback.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <set>
+#include <thread>
 #include <vector>
 
+#include "app_traffic.hpp"
 #include "core/runner.hpp"
 #include "sim_results_checks.hpp"
 #include "topology/partition.hpp"
-#include "traffic/app_profiles.hpp"
 #include "traffic/trace.hpp"
 
 namespace deft {
@@ -459,27 +461,55 @@ TEST(SimSharded, FullScanCoreIgnoresShardKnob) {
                    run_sim(ctx4(), Algorithm::deft, b, sharded_knobs));
 }
 
-// test_sim_equivalence.cpp's kBlDigest: BL application traffic, DeFT,
-// golden_knobs.
-constexpr std::uint64_t kBlDigest = 0x591763cf083352a3ULL;
-
-TEST(SimSharded, NonLookaheadTrafficFallsBackToSerial) {
-  // Application traffic couples sources through request/reply flows and
-  // so declines lookahead - the sharded core cannot draw its sources in
-  // parallel. The shards knob must degrade to serial execution, not
-  // change results or crash.
-  const AppProfile& app = profile_by_code("BL");
-  SimResults results[2];
-  for (int shards : {1, 4}) {
-    AppTrafficGenerator traffic(ctx4().topo(),
-                                {{app, ctx4().topo().core_endpoints()}});
-    ASSERT_FALSE(traffic.supports_lookahead());
-    results[shards > 1] =
-        run_sim(ctx4(), Algorithm::deft, traffic, golden_knobs(shards));
+/// Forwards an application workload and records, per source node, the
+/// thread that last pre-drew its injections. A sharded run pre-draws each
+/// NI on the worker of its shard; each slot has one writer at a time.
+class ThreadRecordingTraffic final : public TrafficGenerator {
+ public:
+  ThreadRecordingTraffic(const Topology& topo, AppTrafficGenerator inner)
+      : inner_(std::move(inner)),
+        drawn_by_(static_cast<std::size_t>(topo.num_nodes())) {}
+  const char* name() const override { return inner_.name(); }
+  void tick(NodeId src, Cycle cycle, Rng& rng,
+            std::vector<PacketRequest>& out) override {
+    inner_.tick(src, cycle, rng, out);
   }
-  expect_identical(results[0], results[1]);
-  EXPECT_EQ(digest(results[1]), kBlDigest)
-      << "0x" << std::hex << digest(results[1]);
+  Cycle next_injection(NodeId src, Cycle from, Cycle limit, Rng& rng,
+                       std::vector<PacketRequest>& out) override {
+    drawn_by_[static_cast<std::size_t>(src)] = std::this_thread::get_id();
+    return inner_.next_injection(src, from, limit, rng, out);
+  }
+  /// Distinct threads that pre-drew injections.
+  std::size_t threads() const {
+    std::set<std::thread::id> ids(drawn_by_.begin(), drawn_by_.end());
+    ids.erase(std::thread::id{});
+    return ids.size();
+  }
+
+ private:
+  AppTrafficGenerator inner_;
+  std::vector<std::thread::id> drawn_by_;
+};
+
+TEST(SimSharded, ApplicationTrafficShardsBitIdentically) {
+  // Application traffic couples sources only through replies, which the
+  // cycle queues at the responder's NI when a request materializes in the
+  // serial begin step. Its sources therefore pre-draw on the shard
+  // workers like any other traffic's: BL and the two Fig. 6(b) mixes must
+  // reproduce their polling-era digests (app_traffic.hpp) at every shard
+  // count, with one pre-drawing thread per shard.
+  for (const AppGolden& g : kAppGoldens) {
+    SCOPED_TRACE(g.name);
+    for (int shards : {1, 2, 4}) {
+      SCOPED_TRACE(shards);
+      ThreadRecordingTraffic traffic(ctx4().topo(), g.make(ctx4().topo()));
+      const SimResults r =
+          run_sim(ctx4(), Algorithm::deft, traffic, golden_knobs(shards));
+      EXPECT_EQ(digest(r), g.expected_digest)
+          << "0x" << std::hex << digest(r);
+      EXPECT_EQ(traffic.threads(), static_cast<std::size_t>(shards));
+    }
+  }
 }
 
 }  // namespace

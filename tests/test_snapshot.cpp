@@ -16,11 +16,11 @@
 #include <algorithm>
 #include <filesystem>
 
+#include "app_traffic.hpp"
 #include "core/runner.hpp"
 #include "sim/snapshot.hpp"
 #include "sim_results_checks.hpp"
 #include "snapshot_image.hpp"
-#include "traffic/app_profiles.hpp"
 #include "traffic/trace.hpp"
 
 namespace deft {
@@ -53,8 +53,9 @@ struct Scenario {
   /// Two vertical channels fail inside the measurement window (cycles 700
   /// and 900) and are repaired at 1400, under the reroute policy.
   bool fail_repair = false;
-  /// BL application traffic on every core (no lookahead: NIs are polled).
-  bool application = false;
+  /// Application traffic (app_traffic.hpp) instead of uniform traffic.
+  const AppGolden* application = nullptr;
+  double uniform_rate = 0.02;
 };
 
 // The six golden configurations of test_sim_equivalence.cpp (uniform
@@ -93,17 +94,17 @@ const Scenario kFailRepair = {"deft_fail_repair", Algorithm::deft,
                               VlStrategy::table, 0, false, 0,
                               RngMode::serial, true};
 
-// BL application traffic (no resume digest: the generator's burst and
-// reply state has no stream-state hooks, so only the image is checked).
+// Application traffic: burst flags in the generator's stream words, reply
+// FIFOs and own-event cycles in the NI records, reply wake-ups in the heap.
 const Scenario kApplication = {"bl_application", Algorithm::deft,
-                               VlStrategy::table, 0, false, 0,
-                               RngMode::serial, false, true};
+                               VlStrategy::table, 0, false, kBlDigest,
+                               RngMode::serial, false, &kAppGoldens[0]};
+const Scenario kStFl = {"st_fl_application", Algorithm::deft,
+                        VlStrategy::table, 0, false, kStFlDigest,
+                        RngMode::serial, false, &kAppGoldens[1]};
 
 std::unique_ptr<TrafficGenerator> application_traffic() {
-  return std::make_unique<AppTrafficGenerator>(
-      ctx4().topo(),
-      std::vector<AppAssignment>{
-          {profile_by_code("BL"), ctx4().topo().core_endpoints()}});
+  return std::make_unique<AppTrafficGenerator>(bl_traffic(ctx4().topo()));
 }
 
 const std::vector<TraceRecord>& golden_trace() {
@@ -150,10 +151,12 @@ std::unique_ptr<Run> make_run(const Scenario& s) {
                                          run->knobs.num_vcs, s.strategy);
   if (s.trace) {
     run->traffic = std::make_unique<TraceReplayGenerator>(golden_trace());
-  } else if (s.application) {
-    run->traffic = application_traffic();
+  } else if (s.application != nullptr) {
+    run->traffic = std::make_unique<AppTrafficGenerator>(
+        s.application->make(ctx4().topo()));
   } else {
-    run->traffic = std::make_unique<UniformTraffic>(ctx4().topo(), 0.02);
+    run->traffic =
+        std::make_unique<UniformTraffic>(ctx4().topo(), s.uniform_rate);
   }
   run->sim = make_sim(*run);
   return run;
@@ -193,7 +196,8 @@ TEST(SimStepper, SingleCycleCapsMatchOneShotRun) {
   //     driven off the simulation clock, so its events must land on the
   //     same cycles when every cycle is its own advance() call;
   //   - RC: staged permission requests and busy-unit deltas;
-  //   - BL application traffic: the per-cycle polling injection path;
+  //   - BL application traffic: replies queued at their responders' NIs
+  //     and the wake-ups that fire them;
   //   - counter-mode deft_random: the cap skips the next cycle's injection
   //     draw and its route preparation.
   SimKnobs knobs;
@@ -272,6 +276,30 @@ TEST(Snapshot, RoundTripReproducesGoldenDigests) {
       SCOPED_TRACE(pause);
       const std::vector<std::uint8_t> image = snapshot_at(s, pause);
       EXPECT_EQ(resumed_digest(s, image), expected);
+    }
+  }
+}
+
+TEST(Snapshot, ApplicationTrafficRestoresBitIdentically) {
+  // The generator's burst flags, the NIs' reply FIFOs and own-event
+  // cycles, and the reply wake-ups in the heap are all in the image, so a
+  // paused application run resumes exactly. (Before format v3 the burst
+  // flags and the reply queues stayed outside the image, and each of
+  // these restores finished with different packet counts and flit hops.)
+  for (const Scenario* s : {&kApplication, &kStFl}) {
+    SCOPED_TRACE(s->name);
+    auto straight = make_run(*s);
+    straight->stepper.start(*straight->sim, straight->ws);
+    straight->stepper.advance();
+    const SimResults& expected = straight->stepper.finish();
+    EXPECT_EQ(digest(expected), s->expected_digest);
+    for (const Cycle pause : {Cycle{300}, Cycle{700}, Cycle{1200}}) {
+      SCOPED_TRACE(pause);
+      auto resumed = make_run(*s);
+      restore_snapshot(snapshot_at(*s, pause), *resumed->sim,
+                       resumed->stepper, resumed->ws);
+      resumed->stepper.advance();
+      expect_identical(resumed->stepper.finish(), expected);
     }
   }
 }
@@ -361,8 +389,9 @@ TEST(Snapshot, ImageBytesArePinned) {
   // The image format is a contract across builds: a checkpoint written
   // before an upgrade must restore after it. Each case reaches a section
   // the golden digests only see indirectly - RC units, trace cursors,
-  // per-NI counter-stream draws, the fault surgeon mid-window. A failure
-  // here means the image changed: bump kSnapshotVersion and re-pin.
+  // per-NI counter-stream draws, the fault surgeon mid-window, reply
+  // FIFOs and burst flags. A failure here means the image changed: bump
+  // kSnapshotVersion and re-pin. Last re-pinned for format v3.
   struct Pin {
     const Scenario* scenario;
     Cycle pause;
@@ -370,10 +399,11 @@ TEST(Snapshot, ImageBytesArePinned) {
     std::uint64_t fnv;
   };
   const Pin pins[] = {
-      {&kScenarios[4], 777, 110702, 0x3765ce6ebe53a5eeULL},
-      {&kScenarios[7], 777, 144892, 0x4bd2aa66c6b40270ULL},
-      {&kCounterRandom, 1250, 147705, 0x440d1785b736bcb4ULL},
-      {&kFailRepair, 1000, 128085, 0xd21705a9bef66e81ULL},
+      {&kScenarios[4], 777, 112552, 0x5a58b54207766819ULL},
+      {&kScenarios[7], 777, 146741, 0xee0200ab7112145dULL},
+      {&kCounterRandom, 1250, 149562, 0xc274fa50700a7c70ULL},
+      {&kFailRepair, 1000, 129941, 0xd8d2c72c0551494eULL},
+      {&kApplication, 777, 69635, 0x195c66d1e09f2f04ULL},
   };
   for (const Pin& pin : pins) {
     SCOPED_TRACE(pin.scenario->name);
@@ -390,7 +420,8 @@ TEST(Snapshot, TruncatedPayloadIsRejectedAtEveryCut) {
   // checks pass and the restore walk's own bounded reads must catch the
   // missing bytes - at every byte of both ends of the payload and about
   // every 100th byte in between.
-  for (const Scenario* s : {&kScenarios[4], &kScenarios[7], &kFailRepair}) {
+  for (const Scenario* s :
+       {&kScenarios[4], &kScenarios[7], &kFailRepair, &kApplication}) {
     SCOPED_TRACE(s->name);
     const std::vector<std::uint8_t> image = snapshot_at(*s, 777);
     // A failed restore spends its Simulator, so each cut gets a fresh one.
@@ -493,16 +524,19 @@ TEST(Snapshot, WorklistSizedForAnotherNiCountIsRejected) {
             std::string::npos);
 }
 
-TEST(Snapshot, InjectionModeOfAnotherConfigurationIsRejected) {
-  // The loop state's fifth field says whether injections are pre-drawn; it
-  // follows from the configuration, so an image claiming otherwise is bad.
+TEST(Snapshot, FaultSetPastTheTopologyIsRejected) {
+  // The surgeon's section ends right before the NI worklist: its cursor,
+  // the fault set's 32 words, three 8-byte metrics, and the interval and
+  // affected-route counts, both 0 in a fault-free run.
   const std::vector<std::uint8_t> image = snapshot_at(kScenarios[0], 600);
-  std::vector<std::uint8_t> polled = image;
-  const std::size_t at = loop_state_offset(image) + 4 * 8;
-  ASSERT_EQ(polled.at(at), 1u);
-  polled[at] = 0;
-  reseal(polled);
-  EXPECT_NE(restore_error(kScenarios[0], polled).find("injection mode"),
+  const std::size_t busy = worklist_of(image).busy;
+  ASSERT_EQ(image_u64(image, busy - 8), 0u);
+  ASSERT_EQ(image_u64(image, busy - 16), 0u);
+  const std::size_t last_word = busy - 40 - 8;
+  ASSERT_EQ(image_u64(image, last_word), 0u);
+  EXPECT_NE(restore_error(kScenarios[0],
+                          with_u64(image, last_word, std::uint64_t{1} << 63))
+                .find("fault set names VL channel 2047 of 32"),
             std::string::npos);
 }
 
@@ -539,6 +573,87 @@ TEST(Snapshot, InjectionEventsOutOfHeapOrderAreRejected) {
   EXPECT_NE(restore_error(kScenarios[0],
                           with_u64(image, at.events + 8, 4999))
                 .find("do not form a heap"),
+            std::string::npos);
+}
+
+// The NI records name the destinations of the packets the next cycles
+// create (pre-drawn requests and queued replies), and their cycles must
+// not be overdue. The application image paused at 700 holds both.
+
+/// The first NI record in `image` whose `count_at` field is non-zero.
+std::size_t first_ni_with(const std::vector<std::uint8_t>& image,
+                          std::size_t NiRecord::*count_at) {
+  for (const NiRecord& ni : ni_records(image)) {
+    if (image_u64(image, ni.*count_at) > 0) {
+      return ni.*count_at;
+    }
+  }
+  throw std::runtime_error("no NI record holds such an entry");
+}
+
+TEST(Snapshot, RequestOrReplyNamingANonEndpointIsRejected) {
+  // Packet creation indexes the topology by these ids unchecked; before
+  // this check an image naming node 100000 restored. Node 1 is an
+  // interposer router without an endpoint.
+  const std::vector<std::uint8_t> image = snapshot_at(kApplication, 700);
+  ASSERT_EQ(restore_error(kApplication, image), "");
+  const std::size_t request = first_ni_with(image, &NiRecord::drawn) + 8;
+  const std::size_t reply = first_ni_with(image, &NiRecord::replies) + 16;
+  for (const std::uint32_t node : {100000u, 1u}) {
+    SCOPED_TRACE(node);
+    std::vector<std::uint8_t> edited = image;
+    set_image_u32(edited, request, node);
+    reseal(edited);
+    EXPECT_NE(restore_error(kApplication, edited)
+                  .find("pre-drawn request names node " +
+                        std::to_string(node) + ", not an endpoint"),
+              std::string::npos);
+    edited = image;
+    set_image_u32(edited, reply, node);
+    reseal(edited);
+    EXPECT_NE(restore_error(kApplication, edited)
+                  .find("queued reply names node " + std::to_string(node) +
+                        ", not an endpoint"),
+              std::string::npos);
+  }
+}
+
+TEST(Snapshot, QueuedReplyDueBeforeThePausedCycleIsRejected) {
+  const std::vector<std::uint8_t> image = snapshot_at(kApplication, 700);
+  const std::size_t due = first_ni_with(image, &NiRecord::replies) + 8;
+  EXPECT_NE(restore_error(kApplication, with_u64(image, due, 699))
+                .find("queued reply due at cycle 699 precedes the paused "
+                      "cycle 700"),
+            std::string::npos);
+}
+
+TEST(Snapshot, InjectionCycleBeforeThePausedCycleIsRejected) {
+  // An own event in the past would never fire again, and front() would
+  // never re-arm the NI.
+  const std::vector<std::uint8_t> image = snapshot_at(kApplication, 700);
+  const std::size_t at = ni_records(image).front().injection_at;
+  EXPECT_NE(restore_error(kApplication, with_u64(image, at, 699))
+                .find("NI injection event at cycle 699 precedes the paused "
+                      "cycle 700"),
+            std::string::npos);
+}
+
+TEST(Snapshot, BurstFlagsOfAnotherShapeAreRejected) {
+  // The application generator's stream words: one 0/1 burst flag per
+  // node. One word too few, one too many (the walk then reads the next
+  // field's first word as a flag), and a flag of 2 are all rejected.
+  const std::vector<std::uint8_t> image = snapshot_at(kApplication, 700);
+  const std::size_t words = traffic_stream_count_offset(image);
+  const auto nodes = static_cast<std::uint64_t>(ctx4().topo().num_nodes());
+  ASSERT_EQ(image_u64(image, words), nodes);
+  EXPECT_NE(restore_error(kApplication, with_u64(image, words, nodes - 1))
+                .find("too few burst flags"),
+            std::string::npos);
+  EXPECT_NE(restore_error(kApplication, with_u64(image, words, nodes + 1))
+                .find("traffic stream state not fully consumed"),
+            std::string::npos);
+  EXPECT_NE(restore_error(kApplication, with_u64(image, words + 8, 2))
+                .find("burst flag is neither 0 nor 1"),
             std::string::npos);
 }
 
@@ -714,10 +829,10 @@ TEST(Snapshot, AllocatedOutputVcOutOfRangeIsRejected) {
             std::string::npos);
 }
 
-TEST(Snapshot, PollingImageIsIndependentOfTheWorkspaceHistory) {
-  // Application traffic polls its NIs, yet its image carries the NI
-  // worklist too. A workspace that last ran a saturated lookahead run
-  // (busy NIs at its end) must write the same image as a fresh one.
+TEST(Snapshot, ApplicationImageIsIndependentOfTheWorkspaceHistory) {
+  // A workspace that last ran a saturated run (busy NIs and full reply
+  // and event buffers at its end) must write the same image as a fresh
+  // one.
   const std::vector<std::uint8_t> fresh = snapshot_at(kApplication, 700);
   auto run = make_run(kApplication);
   {
@@ -776,14 +891,18 @@ TEST(Snapshot, BadMagicIsRejected) {
 }
 
 TEST(Snapshot, UnsupportedVersionIsRejected) {
-  std::vector<std::uint8_t> image = snapshot_at(kScenarios[0], 600);
-  image[8] = static_cast<std::uint8_t>(kSnapshotVersion + 1);
-  auto run = make_run(kScenarios[0]);
-  try {
-    restore_snapshot(image, *run->sim, run->stepper, run->ws);
-    FAIL() << "version-mismatched image restored";
-  } catch (const SnapshotError& e) {
-    EXPECT_NE(std::string(e.what()).find("version"), std::string::npos);
+  // A v2 checkpoint (64-channel fault masks, no reply queues) and one
+  // from a future build both fail on the version, before any payload is
+  // read - the error a campaign answers by restarting from cycle 0.
+  ASSERT_EQ(kSnapshotVersion, 3u);
+  for (const std::uint32_t version : {2u, kSnapshotVersion + 1}) {
+    SCOPED_TRACE(version);
+    std::vector<std::uint8_t> image = snapshot_at(kScenarios[0], 600);
+    image[8] = static_cast<std::uint8_t>(version);
+    EXPECT_NE(restore_error(kScenarios[0], image)
+                  .find("unsupported snapshot version " +
+                        std::to_string(version) + " (expected 3)"),
+              std::string::npos);
   }
 }
 
@@ -808,6 +927,20 @@ TEST(Snapshot, WrongConfigurationIsRejected) {
     const std::string what = e.what();
     EXPECT_NE(what.find("DeFT"), std::string::npos) << what;
     EXPECT_NE(what.find("MTR"), std::string::npos) << what;
+  }
+}
+
+TEST(Snapshot, VlStrategyAndTrafficRateAreInTheFingerprint) {
+  // Before format v3 this DeFT/table image at uniform 0.02 restored into
+  // all three runs below, which then ended at cycles 2,060, 2,129 and
+  // 2,999 instead of failing.
+  const std::vector<std::uint8_t> image = snapshot_at(kScenarios[0], 600);
+  Scenario faster = kScenarios[0];
+  faster.uniform_rate = 0.03;
+  for (const Scenario& other : {kScenarios[1], kScenarios[2], faster}) {
+    SCOPED_TRACE(other.name);
+    EXPECT_NE(restore_error(other, image).find("configuration mismatch"),
+              std::string::npos);
   }
 }
 

@@ -3,6 +3,7 @@
 // Fig. 6(b) load ordering), and trace record/replay round-trips.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <sstream>
 
@@ -203,25 +204,49 @@ TEST(AppProfiles, GeneratorRespectsAssignmentAndRates) {
 }
 
 TEST(AppProfiles, RepliesComeFromServiceEndpoints) {
+  // A request to an L2 bank, a directory or a DRAM endpoint carries the
+  // cycle its reply is due (reply_fraction 1: every one), and the
+  // simulator queues that reply at the responder. Requests to DRAM thus
+  // produce interposer-source traffic (Algorithm 1's interposer-source
+  // case in system runs).
   const Topology topo(make_reference_spec(4));
   Rng rng(5);
   AppAssignment app{profile_by_code("CA"), topo.core_endpoints()};
   AppTrafficGenerator gen(topo, {app}, 1.0, /*reply_fraction=*/1.0,
                           /*service_delay=*/5);
+  const auto serves = [&](NodeId n) {
+    const auto in = [n](const std::vector<NodeId>& pool) {
+      return std::find(pool.begin(), pool.end(), n) != pool.end();
+    };
+    return topo.node(n).endpoint == EndpointKind::dram ||
+           in(gen.l2_banks()) || in(gen.directories());
+  };
   std::vector<PacketRequest> scratch;
-  std::size_t dram_sourced = 0;
+  std::size_t dram_replies = 0;
   for (int c = 0; c < 20000; ++c) {
     for (NodeId n : topo.endpoints()) {
       scratch.clear();
       gen.tick(n, c, rng, scratch);
-      if (topo.node(n).endpoint == EndpointKind::dram) {
-        dram_sourced += scratch.size();
+      for (const PacketRequest& r : scratch) {
+        EXPECT_EQ(r.reply_at != kNoReply, serves(r.dst));
+        if (r.reply_at != kNoReply) {
+          EXPECT_EQ(r.reply_at, c + 5);
+          dram_replies += topo.node(r.dst).endpoint == EndpointKind::dram;
+        }
       }
     }
   }
-  // DRAM endpoints reply to requests: interposer-source traffic exists
-  // (exercises Algorithm 1's interposer-source case in system runs).
-  EXPECT_GT(dram_sourced, 50u);
+  EXPECT_GT(dram_replies, 50u);
+}
+
+TEST(AppProfiles, RejectsAServiceDelayBelowOneCycle) {
+  // A reply due in its request's own cycle has no place in a pre-drawn
+  // schedule (see the constructor).
+  const Topology topo(make_reference_spec(4));
+  AppAssignment app{profile_by_code("CA"), topo.core_endpoints()};
+  EXPECT_THROW(AppTrafficGenerator(topo, {app}, 1.0, 0.5, 0),
+               std::invalid_argument);
+  EXPECT_NO_THROW(AppTrafficGenerator(topo, {app}, 1.0, 0.5, 1));
 }
 
 TEST(Trace, RoundTripThroughText) {

@@ -21,6 +21,7 @@
 #include <cstdlib>
 #include <new>
 
+#include "app_traffic.hpp"
 #include "core/runner.hpp"
 #include "sim_results_checks.hpp"
 
@@ -311,6 +312,35 @@ TEST(SimWorkspace, WarmFaultEventApplicationPerformsZeroHeapAllocations) {
   expect_identical(first, second);
   EXPECT_GT(second.packets_created, 0u);
   EXPECT_EQ(allocs, 0u) << "warm fault-event surgery touched the heap";
+}
+
+TEST(SimWorkspace, WarmApplicationRunPerformsZeroHeapAllocations) {
+  // Application traffic adds per-NI reply FIFOs and a heap wake-up per
+  // reply; both are grow-only, so an identical second run of a Fig. 6(b)
+  // mix stays off the heap too. The generator holds per-run burst state,
+  // so each run gets its own, built before the measured window.
+  const auto alg = ctx4().make_algorithm(Algorithm::deft);
+  SimKnobs knobs = short_knobs();
+  SimWorkspace ws;
+
+  SimResults first;
+  {
+    AppTrafficGenerator traffic = app_mix(ctx4().topo(), "ST", "FL", 2.5);
+    Simulator sim(ctx4().topo(), *alg, traffic, knobs);
+    first = sim.run(ws);
+  }
+
+  AppTrafficGenerator traffic = app_mix(ctx4().topo(), "ST", "FL", 2.5);
+  Simulator sim(ctx4().topo(), *alg, traffic, knobs);
+  g_alloc_calls.store(0, std::memory_order_relaxed);
+  g_count_allocs.store(true, std::memory_order_relaxed);
+  const SimResults& second = sim.run(ws);
+  g_count_allocs.store(false, std::memory_order_relaxed);
+  const std::uint64_t allocs = g_alloc_calls.load(std::memory_order_relaxed);
+
+  expect_identical(first, second);
+  EXPECT_GT(second.packets_created, 0u);
+  EXPECT_EQ(allocs, 0u) << "warm application run touched the heap";
 }
 
 TEST(SimWorkspace, DistinctRoutesStayFarBelowPacketCount) {
