@@ -42,55 +42,15 @@ trace_file =            # traffic = trace: replay this `cycle src dst app` file
 trace_cycles =          # ... or record a uniform workload over N cycles
 )";
 
-}  // namespace
-
-int main(int argc, char** argv) {
+/// Runs `config` and prints its report; returns the exit status (2 on a
+/// detected deadlock).
+int simulate(const deft::SimulationConfig& config) {
   using namespace deft;
-  const char* config_path = nullptr;
-  int shards_override = 0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--dump-default") == 0) {
-      std::fputs(kDefaultConfig, stdout);
-      return 0;
-    }
-    if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-      shards_override = std::atoi(argv[++i]);  // validated below
-      continue;
-    }
-    config_path = argv[i];
-  }
-
-  SimulationConfig config;
-  try {
-    if (config_path != nullptr) {
-      std::ifstream file(config_path);
-      require(file.good(), std::string("cannot open ") + config_path);
-      config = parse_simulation_config(file);
-    } else {
-      config = parse_simulation_config(std::string(kDefaultConfig));
-    }
-    if (shards_override != 0) {
-      require(shards_override >= 1 && shards_override <= kMaxSimShards,
-              "--shards must be in [1, " + std::to_string(kMaxSimShards) +
-                  "]");
-      config.knobs.shards = shards_override;
-    }
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  }
-
   const ExperimentContext ctx(make_reference_spec(config.chiplets),
                               config.knobs.seed);
   const Topology& topo = ctx.topo();
   const VlFaultSet faults = config.faults(topo);
-  FaultTimeline timeline;
-  try {
-    timeline = config.fault_events(topo);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  }
+  const FaultTimeline timeline = config.fault_events(topo);
   const FaultTimeline* timeline_ptr = timeline.empty() ? nullptr : &timeline;
   std::printf("deft_sim: %d chiplets, %s routing (%s VL selection), %s "
               "traffic @ %.4f pkt/cyc/core",
@@ -152,4 +112,46 @@ int main(int argc, char** argv) {
   std::printf("status:               %s%s\n", r.drained ? "drained" : "not drained (saturated)",
               r.deadlock_detected ? ", DEADLOCK DETECTED" : "");
   return r.deadlock_detected ? 2 : 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  using namespace deft;
+  const char* config_path = nullptr;
+  int shards_override = 0;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--dump-default") == 0) {
+      std::fputs(kDefaultConfig, stdout);
+      return 0;
+    }
+    if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
+      shards_override = std::atoi(argv[++i]);  // validated below
+      continue;
+    }
+    config_path = argv[i];
+  }
+
+  // Every failure - a bad config, an unreadable trace_file, a fault list
+  // the topology rejects - is reported on stderr with exit status 1.
+  try {
+    SimulationConfig config;
+    if (config_path != nullptr) {
+      std::ifstream file(config_path);
+      require(file.good(), std::string("cannot open ") + config_path);
+      config = parse_simulation_config(file);
+    } else {
+      config = parse_simulation_config(std::string(kDefaultConfig));
+    }
+    if (shards_override != 0) {
+      require(shards_override >= 1 && shards_override <= kMaxSimShards,
+              "--shards must be in [1, " + std::to_string(kMaxSimShards) +
+                  "]");
+      config.knobs.shards = shards_override;
+    }
+    return simulate(config);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
 }

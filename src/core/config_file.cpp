@@ -5,7 +5,6 @@
 #include <limits>
 #include <sstream>
 
-#include "traffic/patterns.hpp"
 #include "traffic/trace.hpp"
 
 namespace deft {
@@ -109,37 +108,20 @@ FaultTimeline SimulationConfig::fault_events(const Topology& topo) const {
 
 std::unique_ptr<TrafficGenerator> SimulationConfig::make_traffic(
     const Topology& topo) const {
-  if (traffic == "trace") {
-    if (!trace_file.empty()) {
-      std::ifstream in(trace_file);
-      require(in.good(), "config: cannot open trace_file '" + trace_file +
-                             "'");
-      return std::make_unique<TraceReplayGenerator>(parse_trace(in));
-    }
-    require(trace_cycles > 0,
-            "config: traffic = trace needs trace_file or trace_cycles");
-    // The synthetic replay workload the perf matrix uses: a uniform run
-    // at `rate` recorded over the requested window.
-    return std::make_unique<TraceReplayGenerator>(
-        record_uniform_trace(topo, rate, trace_cycles));
+  if (traffic != "trace") {
+    return deft::make_traffic(topo, traffic, rate);
   }
-  if (traffic == "uniform") {
-    return std::make_unique<UniformTraffic>(topo, rate);
+  if (!trace_file.empty()) {
+    std::ifstream in(trace_file);
+    require(in.good(), "config: cannot open trace_file '" + trace_file + "'");
+    return std::make_unique<TraceReplayGenerator>(parse_trace(in));
   }
-  if (traffic == "localized") {
-    return std::make_unique<LocalizedTraffic>(topo, rate);
-  }
-  if (traffic == "hotspot") {
-    return std::make_unique<HotspotTraffic>(topo, rate);
-  }
-  if (traffic == "transpose") {
-    return std::make_unique<TransposeTraffic>(topo, rate);
-  }
-  if (traffic == "bit-complement") {
-    return std::make_unique<BitComplementTraffic>(topo, rate);
-  }
-  require(false, "config: unknown traffic pattern '" + traffic + "'");
-  return nullptr;
+  require(trace_cycles > 0,
+          "config: traffic = trace needs trace_file or trace_cycles");
+  // The synthetic replay workload the perf matrix uses: a uniform run at
+  // `rate` recorded over the requested window.
+  return std::make_unique<TraceReplayGenerator>(
+      record_uniform_trace(topo, rate, trace_cycles));
 }
 
 SimulationConfig parse_simulation_config(std::istream& in) {
@@ -172,12 +154,16 @@ SimulationConfig parse_simulation_config(std::istream& in) {
 
     try {
     if (key == "chiplets") {
-      config.chiplets = static_cast<int>(parse_int(key, value, 1, 64));
+      require(value == "4" || value == "6",
+              "config: key 'chiplets' must be 4 or 6, got '" + value + "'");
+      config.chiplets = std::stoi(value);
     } else if (key == "algorithm") {
       config.algorithm = parse_algorithm(value);
     } else if (key == "vl_strategy") {
       config.vl_strategy = parse_vl_strategy(value);
     } else if (key == "traffic") {
+      require(value == "trace" || is_traffic_pattern(value),
+              "config: unknown traffic pattern '" + value + "'");
       config.traffic = value;
     } else if (key == "rate") {
       config.rate = parse_double(key, value, 0.0, 1.0);

@@ -5,7 +5,7 @@
 // to defaults).
 //
 //   # 4-chiplet reference system, DeFT, uniform traffic
-//   chiplets   = 4
+//   chiplets   = 4           # 4 | 6 (the paper's reference systems)
 //   algorithm  = deft        # deft | mtr | rc
 //   traffic    = uniform     # uniform | localized | hotspot | transpose |
 //                            # bit-complement | trace
@@ -80,7 +80,8 @@ struct SimulationConfig {
 };
 
 /// Parses `key = value` lines. Throws std::invalid_argument on malformed
-/// lines, unknown keys, or out-of-range values; every message is
+/// lines, unknown keys, or out-of-range values (a system size other than
+/// 4 or 6 chiplets, an unknown traffic pattern); every message is
 /// line-numbered ("config: line N: ...", matching parse_trace's style) so
 /// a campaign request can be rejected with an actionable per-line error.
 SimulationConfig parse_simulation_config(std::istream& in);

@@ -90,23 +90,37 @@ const SimResults& run_sim(SimWorkspace& ws, const ExperimentContext& ctx,
   return sim.run(ws);
 }
 
+namespace {
+
+template <class Pattern>
+std::unique_ptr<TrafficGenerator> build(const Topology& topo, double rate) {
+  return std::make_unique<Pattern>(topo, rate);
+}
+
+/// Every synthetic pattern make_traffic() builds, by name.
+constexpr std::pair<const char*, decltype(&build<UniformTraffic>)>
+    kPatterns[] = {
+        {"uniform", build<UniformTraffic>},
+        {"localized", build<LocalizedTraffic>},
+        {"hotspot", build<HotspotTraffic>},
+        {"transpose", build<TransposeTraffic>},
+        {"bit-complement", build<BitComplementTraffic>},
+};
+
+}  // namespace
+
+bool is_traffic_pattern(const std::string& pattern) {
+  return std::ranges::any_of(
+      kPatterns, [&](const auto& p) { return pattern == p.first; });
+}
+
 std::unique_ptr<TrafficGenerator> make_traffic(const Topology& topo,
                                                const std::string& pattern,
                                                double rate) {
-  if (pattern == "uniform") {
-    return std::make_unique<UniformTraffic>(topo, rate);
-  }
-  if (pattern == "localized") {
-    return std::make_unique<LocalizedTraffic>(topo, rate);
-  }
-  if (pattern == "hotspot") {
-    return std::make_unique<HotspotTraffic>(topo, rate);
-  }
-  if (pattern == "transpose") {
-    return std::make_unique<TransposeTraffic>(topo, rate);
-  }
-  if (pattern == "bit-complement") {
-    return std::make_unique<BitComplementTraffic>(topo, rate);
+  for (const auto& [name, build_pattern] : kPatterns) {
+    if (pattern == name) {
+      return build_pattern(topo, rate);
+    }
   }
   require(false, "make_traffic: unknown pattern " + pattern);
   return nullptr;

@@ -106,6 +106,9 @@ std::unique_ptr<TrafficGenerator> make_traffic(const Topology& topo,
                                                const std::string& pattern,
                                                double rate);
 
+/// Whether make_traffic() builds `pattern`.
+bool is_traffic_pattern(const std::string& pattern);
+
 /// The cross product of experiment axes a sweep covers. Every axis must be
 /// non-empty. Expansion order (outermost to innermost loop): algorithm,
 /// VL strategy, traffic pattern, fault count, injection rate, fault

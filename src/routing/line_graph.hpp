@@ -44,7 +44,6 @@ class LineGraph {
   const std::vector<int>& successors(int line_node) const {
     return succ_[static_cast<std::size_t>(line_node)];
   }
-  const std::vector<std::vector<int>>& adjacency() const { return succ_; }
 
   /// CSR view of the same adjacency: one flat successor array indexed by
   /// per-node offsets. The per-fault-scenario rebuild passes (MTR's

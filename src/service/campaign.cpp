@@ -175,20 +175,17 @@ ResultRow CampaignEngine::run_one(int worker, const CampaignRequest& request) {
                                        config.fault_policy);
   };
   std::unique_ptr<Simulator> sim = make_sim();
-  const SimResults* results = nullptr;
 
-  if (options_.checkpoint_dir.empty()) {
-    results = &sim->run(ws);
-  } else {
-    const std::filesystem::path ckpt =
-        options_.checkpoint_dir / (request.id + kCheckpointExtension);
-    SimStepper stepper;
-    bool restored = false;
+  // One run loop: a checkpointing run pauses every checkpoint_every_cycles
+  // to write its image; any other runs to the end in one advance().
+  SimStepper stepper;
+  std::filesystem::path ckpt;
+  if (!options_.checkpoint_dir.empty()) {
+    ckpt = options_.checkpoint_dir / (request.id + kCheckpointExtension);
     std::error_code ec;
     if (std::filesystem::exists(ckpt, ec)) {
       try {
         restore_snapshot(read_snapshot_file(ckpt), *sim, stepper, ws);
-        restored = true;
         row.resumed_at = stepper.now();
       } catch (const SnapshotError&) {
         // Corrupt, truncated or configuration-mismatched checkpoint: a
@@ -201,18 +198,19 @@ ResultRow CampaignEngine::run_one(int worker, const CampaignRequest& request) {
         sim = make_sim();
       }
     }
-    if (!restored) {
-      stepper.start(*sim, ws);
-    }
-    Cycle next_checkpoint =
-        std::max(options_.checkpoint_min_cycles,
-                 stepper.now() + options_.checkpoint_every_cycles);
-    while (!stepper.advance(next_checkpoint)) {
-      write_snapshot_file(ckpt, save_snapshot(stepper));
-      next_checkpoint = stepper.now() + options_.checkpoint_every_cycles;
-    }
-    results = &stepper.finish();
   }
+  if (row.resumed_at < 0) {  // not restored
+    stepper.start(*sim, ws);
+  }
+  Cycle next_checkpoint =
+      ckpt.empty() ? SimStepper::kNoCycleCap
+                   : std::max(options_.checkpoint_min_cycles,
+                              stepper.now() + options_.checkpoint_every_cycles);
+  while (!stepper.advance(next_checkpoint)) {
+    write_snapshot_file(ckpt, save_snapshot(stepper));
+    next_checkpoint = stepper.now() + options_.checkpoint_every_cycles;
+  }
+  const SimResults& r = stepper.finish();
   row.seconds = std::chrono::duration<double>(
                     std::chrono::steady_clock::now() - t0)
                     .count();
@@ -224,7 +222,6 @@ ResultRow CampaignEngine::run_one(int worker, const CampaignRequest& request) {
     cache_.check_in(key, std::move(algorithm));
   }
 
-  const SimResults& r = *results;
   row.has_results = true;
   row.sim_outcome = r.outcome;
   row.drained = r.drained;

@@ -82,8 +82,10 @@ struct CampaignOptions {
   /// (short runs never pay the fsync), and a request whose id has a
   /// restorable checkpoint resumes from it instead of cycle 0. A corrupt
   /// or configuration-mismatched checkpoint is discarded and the run
-  /// restarts clean - never a wrong result. The results are bit-identical
-  /// with checkpoints on, off, or restored (tests/test_service.cpp).
+  /// restarts clean - never a wrong result. A checkpointed run honours
+  /// its `shards`, and an image restores at any shard count. The results
+  /// are bit-identical with checkpoints on, off, or restored
+  /// (tests/test_service.cpp).
   std::filesystem::path checkpoint_dir;
   Cycle checkpoint_min_cycles = 100000;
   Cycle checkpoint_every_cycles = 100000;

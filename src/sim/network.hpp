@@ -168,8 +168,6 @@ class Network {
     }
   }
 
-  int num_shards() const { return num_shards_; }
-
   // --- Network-interface side -------------------------------------------
   /// Free slots the NI may still inject into (node's local input VC).
   int local_free(NodeId node, int vc) const {

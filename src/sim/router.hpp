@@ -165,10 +165,6 @@ struct RouterState {
   std::uint32_t owned = 0;
   static_assert(kNumLanes <= 32,
                 "RouterState::owned packs one bit per output (port, vc)");
-
-  static constexpr int occ_bit(int port, int vc) {
-    return FlitStore::lane_of(port, vc);
-  }
 };
 
 }  // namespace deft

@@ -32,12 +32,13 @@ namespace deft {
 //     fold in, and the watchdog and drain checks run on the summed
 //     counters.
 //
-// Two drivers call these steps. A serial run - every SimStepper run -
-// calls them inline on the calling thread at one shard (run_inline). A
+// Two loops call these steps, and SimStepper::advance picks one. A run
+// at one shard calls them inline on the calling thread (run_inline). A
 // run with shards > 1 calls them from one worker per shard, with a
 // CycleSync rendezvous after front and after back; worker 0 runs end and
 // the next begin between the followers' back phases and their release
-// (run_workers).
+// (run_workers). Both stop where end() does: at the run's end or at the
+// advance() cap.
 //
 // Why every shard count gives the same bits: step() never reads another
 // router's state, commits are order-independent within a cycle (one
@@ -53,7 +54,7 @@ namespace deft {
 /// The state one run's cycles share. Plain fields: in the worker loop they
 /// are published across threads by the two CycleSync rendezvous per cycle.
 struct CycleEngine {
-  CycleEngine(Simulator& sim, SimWorkspace& ws, const Partition& partition)
+  CycleEngine(Simulator& sim, SimWorkspace& ws)
       : knobs(&sim.knobs_),
         topo(sim.topo_),
         traffic(sim.traffic_),
@@ -65,7 +66,7 @@ struct CycleEngine {
         shards(&ws.shard_runs_),
         results(&ws.results_),
         surgeon(&ws.surgeon_),
-        partition(&partition),
+        partition(&ws.partition_),
         counter_mode(sim.knobs_.rng_mode == RngMode::counter) {}
 
   const SimKnobs* knobs;
@@ -85,10 +86,11 @@ struct CycleEngine {
   /// routes in parallel instead of begin() deriving them serially.
   bool counter_mode;
   RunCursor cur;
-  /// back() draws the next cycle's injections only below this cycle. A
-  /// stepper pausing before cycle c leaves c's draw (and, in counter mode,
-  /// its route preparation) to begin(c), so the paused NI worklist and
-  /// event heap are exactly what the next cycle will draw from.
+  /// The advance() cap: end() stops the run when the clock reaches it,
+  /// and back() draws the next cycle's injections only below it. A pause
+  /// before cycle c leaves c's draw (and, in counter mode, its route
+  /// preparation) to begin(c), so at every pause each shard's wake words
+  /// are zero and its heap holds what the next cycle will draw from.
   Cycle draw_end = SimStepper::kNoCycleCap;
   bool in_window = false;
   bool stop = false;
@@ -159,9 +161,6 @@ struct CycleEngine {
 };
 
 namespace {
-
-/// A trivial one-shard partition: what serial runs execute on.
-const Partition kSerialPartition{};
 
 /// The cycle's stats sink, writing one shard's private accumulators. With
 /// InWindow false (warmup and drain) the traversal statistics and the
@@ -387,17 +386,17 @@ void CycleEngine::end() {
                   cur.counters.created_measured;
   }
   ++cur.now;
-  stop = cur.drained || cur.now >= cur.hard_end;
+  stop = cur.drained || cur.now >= cur.hard_end || cur.now >= draw_end;
 }
 
 namespace {
 
-/// The inline driver: cycles [now, cap) at one shard on the calling
-/// thread, stopping early at the run's end. Flattened so the four steps
-/// compile into one loop body: left as calls, they cost sparse loads
-/// (uniform 0.0005 on the 4-chiplet system) about 4% of their cycle rate.
-[[gnu::flatten]] void run_inline(CycleEngine& st, Cycle cap) {
-  while (!st.stop && st.cur.now < cap) {
+/// The inline loop: cycles at one shard on the calling thread until
+/// end() stops the run. Flattened so the four steps compile into one loop
+/// body: left as calls, they cost sparse loads (uniform 0.0005 on the
+/// 4-chiplet system) about 4% of their cycle rate.
+[[gnu::flatten]] void run_inline(CycleEngine& st) {
+  while (!st.stop) {
     st.begin();
     if (st.in_window) {
       front<true>(st, 0);
@@ -410,12 +409,12 @@ namespace {
   }
 }
 
-/// The worker loop: the rest of the run across one worker per shard, from
-/// a cycle whose begin() has run. Per cycle: front, rendezvous, back, then
-/// worker 0 waits for every follower's back, runs end and the next begin,
-/// and releases the followers - end's stop decision must precede every
-/// worker's next front. A throwing step stops the run at the next end;
-/// the first exception is rethrown on the calling thread.
+/// The worker loop: cycles across one worker per shard, from a cycle whose
+/// begin() has run, until end() stops the run. Per cycle: front,
+/// rendezvous, back, then worker 0 waits for every follower's back, runs
+/// end and the next begin, and releases the followers - end's stop
+/// decision must precede every worker's next front. A throwing step stops
+/// the run at the next end; the first exception is rethrown on the caller.
 void run_workers(CycleEngine& st, WorkerPool& pool) {
   static_assert(kMaxSimShards <= CycleSync::kMaxWorkers);
   const int num_shards = static_cast<int>(st.shards->size());
@@ -525,11 +524,10 @@ void run_reference(CycleEngine& st, Cycle cap) {
   }
 }
 
-/// Resets the workspace-owned results in place: scalar fields zeroed,
-/// vector fields assigned to this run's dimensions - never replaced, so a
-/// reused workspace keeps their capacity.
-void reset_results(SimResults& results, const Topology& topo,
-                   Cycle measure_cycles) {
+/// Resets the workspace-owned results' scalar fields. SimStepper::finish
+/// assigns the vector fields, which a reused workspace keeps the capacity
+/// of.
+void reset_results(SimResults& results, Cycle measure_cycles) {
   results.network_latency = LatencySummary{};
   results.total_latency = LatencySummary{};
   results.packets_created = 0;
@@ -548,10 +546,6 @@ void reset_results(SimResults& results, const Topology& topo,
   results.fault_window_created = 0;
   results.fault_window_delivered = 0;
   results.reconvergence_latency = -1;
-  results.region_vc_flits.assign(
-      static_cast<std::size_t>(topo.num_chiplets()) + 1, {});
-  results.vl_channel_flits.assign(
-      static_cast<std::size_t>(topo.num_vl_channels()), 0);
 }
 
 }  // namespace
@@ -590,33 +584,85 @@ SimResults Simulator::run() {
   return run(ws);  // copied out before the private workspace dies
 }
 
-RunCursor Simulator::prepare(SimWorkspace& ws, const Partition* partition) {
+const SimResults& Simulator::run(SimWorkspace& ws) {
+  SimStepper stepper;
+  stepper.start(*this, ws);
+  stepper.advance();
+  return stepper.finish();
+}
+
+void ShardRun::merge_measurements(const ShardRun& other) {
+  net_latencies.insert(net_latencies.end(), other.net_latencies.begin(),
+                       other.net_latencies.end());
+  total_latencies.insert(total_latencies.end(),
+                         other.total_latencies.begin(),
+                         other.total_latencies.end());
+  for (std::size_t r = 0; r < region_vc_flits.size(); ++r) {
+    for (std::size_t v = 0; v < region_vc_flits[r].size(); ++v) {
+      region_vc_flits[r][v] += other.region_vc_flits[r][v];
+    }
+  }
+  for (std::size_t c = 0; c < vl_channel_flits.size(); ++c) {
+    vl_channel_flits[c] += other.vl_channel_flits[c];
+  }
+  flits_ejected_in_window += other.flits_ejected_in_window;
+  delivered_measured += other.delivered_measured;
+}
+
+// ------------------------------------------------------------- SimStepper
+//
+// Every advance() binds a CycleEngine to the run, executes cycles up to
+// `cap` on the loop the shard count calls for, and keeps the cursor.
+// Each cycle derives its window flag from the cursor alone, and a pause
+// defers only the next cycle's injection draw - which begin() then
+// performs - so pausing and resuming at any cycle boundary cannot change
+// what any cycle executes: the bit-identity argument for snapshots and
+// checkpoints (docs/architecture.md).
+
+void SimStepper::start(Simulator& sim, SimWorkspace& ws) {
+  require(!sim.ran_, "Simulator::run may only be called once");
+  sim.ran_ = true;
+  sim_ = &sim;
+  ws_ = &ws;
+  done_ = finished_ = false;
+  const Topology& topo = *sim.topo_;
+  const SimKnobs& knobs = sim.knobs_;
+
+  // The active-set core runs at the requested shard count; the full-scan
+  // reference - and a partition that comes out with one shard - runs the
+  // same cycle at one shard.
+  ws.partition_.build(topo,
+                      knobs.core == SimCore::active_set ? knobs.shards : 1);
+  const int shards = ws.partition_.num_shards();
+  if (shards > 1 && (!ws.pool_ || ws.pool_->threads() < shards - 1)) {
+    ws.pool_ = std::make_unique<WorkerPool>(shards - 1);
+  }
+
   ws.packets_.clear();
-  ws.net_.reset(*topo_, *algorithm_, ws.packets_, knobs_.num_vcs,
-                knobs_.buffer_depth, faults_, knobs_.vl_serialization,
-                knobs_.core, partition);
-  ws.rc_units_.reset(*topo_, knobs_.packet_size);
+  ws.net_.reset(topo, *sim.algorithm_, ws.packets_, knobs.num_vcs,
+                knobs.buffer_depth, sim.faults_, knobs.vl_serialization,
+                knobs.core, &ws.partition_);
+  ws.rc_units_.reset(topo, knobs.packet_size);
   ws.rc_units_.publish_initial_credits(ws.net_);
 
-  Rng root(knobs_.seed);
-  const std::vector<NodeId>& endpoints = topo_->endpoints();
+  Rng root(knobs.seed);
+  const std::vector<NodeId>& endpoints = topo.endpoints();
   ws.nis_.resize(endpoints.size());
-  const bool counter = knobs_.rng_mode == RngMode::counter;
+  const bool counter = knobs.rng_mode == RngMode::counter;
   for (std::size_t i = 0; i < endpoints.size(); ++i) {
     const NodeId n = endpoints[i];
     // In counter mode each NI additionally owns the route stream keyed by
     // (seed, node) - a pure function of the pair, so identical for every
     // shard count.
     ws.nis_[i].reset(n, root.fork(static_cast<std::uint64_t>(n)),
-                     CounterRng(knobs_.seed, static_cast<std::uint64_t>(n)),
+                     CounterRng(knobs.seed, static_cast<std::uint64_t>(n)),
                      counter);
   }
-  ws.surgeon_.reset(*topo_, timeline_, policy_, faults_);
+  ws.surgeon_.reset(topo, sim.timeline_, sim.policy_, sim.faults_);
 
   // Every mode sizes the worklist, so nothing of an earlier run in this
-  // workspace survives into this one (or into its snapshot images).
-  ws.shard_runs_.resize(static_cast<std::size_t>(
-      partition == nullptr ? 1 : partition->num_shards()));
+  // workspace survives into this one.
+  ws.shard_runs_.resize(static_cast<std::size_t>(shards));
   const std::size_t ni_words = (ws.nis_.size() + 63) / 64;
   for (ShardRun& sh : ws.shard_runs_) {
     sh.busy.assign(ni_words, 0);
@@ -627,110 +673,17 @@ RunCursor Simulator::prepare(SimWorkspace& ws, const Partition* partition) {
     sh.net_latencies.clear();
     sh.total_latencies.clear();
     sh.region_vc_flits.assign(
-        static_cast<std::size_t>(topo_->num_chiplets()) + 1, {});
+        static_cast<std::size_t>(topo.num_chiplets()) + 1, {});
     sh.vl_channel_flits.assign(
-        static_cast<std::size_t>(topo_->num_vl_channels()), 0);
+        static_cast<std::size_t>(topo.num_vl_channels()), 0);
     sh.flits_ejected_in_window = 0;
     sh.delivered_measured = 0;
   }
-  reset_results(ws.results_, *topo_, knobs_.measure);
+  reset_results(ws.results_, knobs.measure);
 
-  RunCursor cur;
-  cur.measure_end = knobs_.warmup + knobs_.measure;
-  cur.hard_end = cur.measure_end + knobs_.drain_max;
-  return cur;
-}
-
-const SimResults& Simulator::run(SimWorkspace& ws) {
-  // The active-set core runs at the requested shard count; the full-scan
-  // reference - and a partition that comes out with one shard - runs the
-  // same cycle at one shard, through the stepper.
-  bool sharded = knobs_.shards > 1 && knobs_.core == SimCore::active_set;
-  if (sharded) {
-    ws.partition_.build(*topo_, knobs_.shards);
-    sharded = ws.partition_.num_shards() > 1;
-  }
-  if (!sharded) {
-    SimStepper stepper;
-    stepper.start(*this, ws);
-    stepper.advance();
-    return stepper.finish();
-  }
-
-  require(!ran_, "Simulator::run may only be called once");
-  ran_ = true;
-  CycleEngine st(*this, ws, ws.partition_);
-  st.cur = prepare(ws, &ws.partition_);
-  const int num_shards = ws.partition_.num_shards();
-  if (!ws.pool_ || ws.pool_->threads() < num_shards - 1) {
-    ws.pool_ = std::make_unique<WorkerPool>(num_shards - 1);
-  }
-  st.arm();
-  st.begin();
-  run_workers(st, *ws.pool_);
-  return finish(ws, st.cur);
-}
-
-const SimResults& Simulator::finish(SimWorkspace& ws, const RunCursor& cur) {
-  // Merge the per-shard measurement slices, the latency samples into
-  // slice 0's. Every counter is additive and the latency summaries sort
-  // their samples, so the merge order cannot influence the results.
-  SimResults& results = ws.results_;
-  ShardRun& first = ws.shard_runs_.front();
-  std::uint64_t delivered_measured = 0;
-  for (const ShardRun& sh : ws.shard_runs_) {
-    results.flits_ejected_in_window += sh.flits_ejected_in_window;
-    delivered_measured += sh.delivered_measured;
-    for (std::size_t r = 0; r < results.region_vc_flits.size(); ++r) {
-      for (std::size_t v = 0; v < results.region_vc_flits[r].size(); ++v) {
-        results.region_vc_flits[r][v] += sh.region_vc_flits[r][v];
-      }
-    }
-    for (std::size_t c = 0; c < results.vl_channel_flits.size(); ++c) {
-      results.vl_channel_flits[c] += sh.vl_channel_flits[c];
-    }
-    if (&sh != &first) {
-      first.net_latencies.insert(first.net_latencies.end(),
-                                 sh.net_latencies.begin(),
-                                 sh.net_latencies.end());
-      first.total_latencies.insert(first.total_latencies.end(),
-                                   sh.total_latencies.begin(),
-                                   sh.total_latencies.end());
-    }
-  }
-  results.cycles_run = cur.now;
-  results.deadlock_detected = cur.deadlock;
-  results.outcome =
-      cur.deadlock ? RunOutcome::deadlocked : RunOutcome::completed;
-  results.drained = cur.drained;
-  results.packets_created = cur.counters.created;
-  results.packets_created_measured = cur.counters.created_measured;
-  results.packets_delivered_measured = delivered_measured;
-  results.packets_dropped_unroutable = cur.counters.dropped_unroutable;
-  results.network_latency = LatencySummary::from_samples(first.net_latencies);
-  results.total_latency = LatencySummary::from_samples(first.total_latencies);
-  ws.surgeon_.finalize(results, ws.packets_);
-  return results;
-}
-
-// ------------------------------------------------------------- SimStepper
-//
-// The stepper is the inline driver with its run cursor hoisted into a
-// member: every advance() binds a CycleEngine to the run, executes cycles
-// up to `cap`, and keeps the cursor. Each cycle derives its window flag
-// from the cursor alone, and a pause defers only the next cycle's
-// injection draw - which begin() then performs - so pausing and resuming
-// at any cycle boundary cannot change what any cycle executes: the
-// bit-identity argument for snapshots and checkpoints
-// (docs/architecture.md).
-
-void SimStepper::start(Simulator& sim, SimWorkspace& ws) {
-  require(!sim.ran_, "Simulator::run may only be called once");
-  sim.ran_ = true;
-  sim_ = &sim;
-  ws_ = &ws;
-  cur_ = sim.prepare(ws, nullptr);
-  done_ = finished_ = false;
+  cur_ = RunCursor{};
+  cur_.measure_end = knobs.warmup + knobs.measure;
+  cur_.hard_end = cur_.measure_end + knobs.drain_max;
 }
 
 bool SimStepper::advance(Cycle cap) {
@@ -738,7 +691,7 @@ bool SimStepper::advance(Cycle cap) {
   if (done_ || cur_.now >= cap) {
     return done_;
   }
-  CycleEngine st(*sim_, *ws_, kSerialPartition);
+  CycleEngine st(*sim_, *ws_);
   st.cur = cur_;
   st.draw_end = cap;
   if (sim_->knobs_.core == SimCore::full_scan) {
@@ -747,7 +700,12 @@ bool SimStepper::advance(Cycle cap) {
     if (cur_.now == 0) {
       st.arm();  // before the first cycle: pre-draw every NI's injection
     }
-    run_inline(st, cap);
+    if (ws_->partition_.num_shards() == 1) {
+      run_inline(st);
+    } else {
+      st.begin();
+      run_workers(st, *ws_->pool_);
+    }
   }
   cur_ = st.cur;
   done_ = cur_.deadlock || cur_.drained || cur_.now >= cur_.hard_end;
@@ -756,11 +714,34 @@ bool SimStepper::advance(Cycle cap) {
 
 const SimResults& SimStepper::finish() {
   require(sim_ != nullptr && done_, "SimStepper::finish before the run ended");
+  SimResults& results = ws_->results_;
   if (finished_) {
-    return ws_->results_;
+    return results;
   }
   finished_ = true;
-  return Simulator::finish(*ws_, cur_);
+  // Merge the per-shard measurement slices into slice 0. Every counter is
+  // additive and the latency summaries sort their samples, so the merge
+  // order cannot influence the results.
+  ShardRun& first = ws_->shard_runs_.front();
+  for (std::size_t s = 1; s < ws_->shard_runs_.size(); ++s) {
+    first.merge_measurements(ws_->shard_runs_[s]);
+  }
+  results.flits_ejected_in_window = first.flits_ejected_in_window;
+  results.region_vc_flits = first.region_vc_flits;
+  results.vl_channel_flits = first.vl_channel_flits;
+  results.cycles_run = cur_.now;
+  results.deadlock_detected = cur_.deadlock;
+  results.outcome =
+      cur_.deadlock ? RunOutcome::deadlocked : RunOutcome::completed;
+  results.drained = cur_.drained;
+  results.packets_created = cur_.counters.created;
+  results.packets_created_measured = cur_.counters.created_measured;
+  results.packets_delivered_measured = first.delivered_measured;
+  results.packets_dropped_unroutable = cur_.counters.dropped_unroutable;
+  results.network_latency = LatencySummary::from_samples(first.net_latencies);
+  results.total_latency = LatencySummary::from_samples(first.total_latencies);
+  ws_->surgeon_.finalize(results, ws_->packets_);
+  return results;
 }
 
 }  // namespace deft

@@ -7,19 +7,20 @@
 // the expected outcome). Traffic generation continues during the drain so
 // the network stays loaded, as in standard open-loop methodology.
 //
-// One cycle, two drivers. Every active-set run executes the same
-// partitioned cycle (simulator.cpp): a serial begin step (due fault
-// events, packet materialization in NI order, the RC tick), a per-shard
-// front step (NI injection, router step) and back step (commit, RC
-// permission delivery, the next cycle's wake-ups), and a serial end step
-// (RC absorptions, watchdog, drain check). A serial run - every
-// SimStepper run - calls the four steps inline on the calling thread at
-// one shard, with no worker threads and no rendezvous. With
-// SimKnobs::shards > 1 on the active-set core, Simulator::run calls them
-// from one worker thread per shard of a Partition into 2.5D columns (a
-// chiplet and the interposer beneath it). Results are bit-identical for
-// any shard count (tests/test_sim_sharded.cpp); the full-scan core and
-// one-column systems silently execute at one shard.
+// One entry point. SimStepper is the only way to run a simulation:
+// start() resets the workspace, advance(cap) executes cycles up to a cap
+// and finish() fills in the results; Simulator::run(ws) is start +
+// advance() + finish at every shard count. Every active-set run executes
+// the same partitioned cycle (simulator.cpp): serial begin and end steps
+// around a per-shard front step (NI injection, router step) and back
+// step (commit, RC permission delivery, the next cycle's wake-ups). At
+// one shard advance() calls the steps inline on the calling thread; with
+// SimKnobs::shards > 1 on the active-set core, start() splits the system
+// into 2.5D columns (a chiplet and the interposer beneath it) and
+// advance() calls them from one worker thread per shard. Both loops
+// stop at the cap, so a sharded run pauses like a serial one. Results
+// are bit-identical for any shard count (tests/test_sim_sharded.cpp); the
+// full-scan core and one-column systems silently execute at one shard.
 //
 // One injection path: each NI pre-draws its next injection
 // (TrafficGenerator::next_injection) into its shard's event heap, and a
@@ -39,14 +40,11 @@
 // topology the workspace's buffers are warm and a steady-state run
 // performs zero heap allocations (asserted by tests/test_workspace.cpp).
 //
-// Stepped execution: SimStepper exposes the serial run as a resumable
-// start/advance/finish sequence - Simulator::run(ws)'s serial path is a
-// wrapper over it - so snapshots and campaign checkpoints can pause a run
-// at any cycle boundary without touching its results. A pause before
-// cycle c leaves c's injection draw to c's begin step; the draw is
-// idempotent, so a paused and resumed run executes exactly the cycles of
-// an unpaused one (bit-identical by construction; see
-// docs/architecture.md).
+// Pausing: snapshots and campaign checkpoints pause a stepper between
+// advance() calls without touching its results. A pause before cycle c
+// leaves c's injection draw to c's begin step; the draw is idempotent, so
+// a paused and resumed run executes exactly the cycles of an unpaused one
+// (bit-identical by construction; see docs/architecture.md).
 #pragma once
 
 #include <limits>
@@ -107,10 +105,10 @@ struct SimKnobs {
 
 /// One shard's slice of the per-run state: the NI worklist, the staged RC
 /// permission requests, and the shard's private measurement accumulators
-/// (merged order-insensitively after the run - latency summaries sort
-/// their samples, every counter is additive). A serial run uses slice 0
-/// alone. Cache-line aligned so that one shard's per-ejection counter
-/// updates never share a line with a neighbouring shard's slice.
+/// (merged order-insensitively - latency summaries sort their samples,
+/// every counter is additive). A serial run uses slice 0 alone.
+/// Cache-line aligned so that one shard's per-ejection counter updates
+/// never share a line with a neighbouring shard's slice.
 struct alignas(64) ShardRun {
   /// NI worklist over the global NI index space: `busy` mirrors
   /// NetworkInterface::busy() for the shard's NIs, `wake` marks NIs with
@@ -136,6 +134,9 @@ struct alignas(64) ShardRun {
   std::vector<std::uint64_t> vl_channel_flits;
   std::uint64_t flits_ejected_in_window = 0;
   std::uint64_t delivered_measured = 0;
+
+  /// Adds `other`'s measurement slice: counters summed, samples appended.
+  void merge_measurements(const ShardRun& other);
 };
 
 /// Loop state carried from cycle to cycle: the clock, the watchdog's idle
@@ -192,8 +193,8 @@ class SimWorkspace {
   RcUnitManager rc_units_;
   FaultSurgeon surgeon_;
   std::vector<NetworkInterface> nis_;
-  /// The router partition of a run with shards > 1, one ShardRun slice
-  /// per shard (one for a serial run), and the persistent worker pool
+  /// The run's router partition (trivial for a serial run), one ShardRun
+  /// slice per shard, and the persistent worker pool
   /// (threads survive across runs, so a workspace reused for many sharded
   /// runs spawns them once; serial runs never build it).
   Partition partition_;
@@ -224,22 +225,13 @@ class Simulator {
   /// Runs the full simulation inside `ws`, reusing its buffers, and
   /// returns a reference to the workspace-owned results (valid until the
   /// workspace's next run). Bit-identical to run() for equal inputs; on a
-  /// warm workspace the run performs no heap allocation.
+  /// warm workspace a serial run performs no heap allocation.
   const SimResults& run(SimWorkspace& ws);
 
  private:
   friend class SimStepper;
   friend class SnapshotAccess;
   friend struct CycleEngine;
-
-  /// Resets every workspace plane for a fresh run (shared by the stepper
-  /// and the worker loop) and returns the run's initial cursor.
-  /// `partition` is non-null only for execution at more than one shard.
-  RunCursor prepare(SimWorkspace& ws, const Partition* partition);
-  /// Run-end finalization, also shared by both drivers: the merged shard
-  /// slices, the end state and counters, the latency summaries and the
-  /// surgeon's fault metrics.
-  static const SimResults& finish(SimWorkspace& ws, const RunCursor& cur);
 
   const Topology* topo_;
   RoutingAlgorithm* algorithm_;
@@ -251,10 +243,10 @@ class Simulator {
   bool ran_ = false;
 };
 
-/// Resumable serial execution of one simulation: start() performs the run
-/// prologue, advance(cap) executes cycles until `cap` (exclusive) or the
-/// run's natural end, finish() finalizes and returns the workspace-owned
-/// SimResults. Simulator::run(ws)'s serial path is exactly
+/// Resumable execution of one simulation, the only way to run one:
+/// start() performs the run prologue, advance(cap) executes cycles until
+/// `cap` (exclusive) or the run's natural end, finish() finalizes and
+/// returns the workspace-owned SimResults. Simulator::run(ws) is exactly
 /// start + advance(unbounded) + finish, so a stepped run is bit-identical
 /// to an unstepped one by construction: the same cycle code executes the
 /// same cycles in the same order, merely pausing at advance() boundaries,
@@ -262,16 +254,17 @@ class Simulator {
 /// what that cycle's begin step performs anyway. The run cursor lives
 /// here; everything heavier stays in the SimWorkspace.
 ///
-/// The stepper always executes at one shard, even for shard-eligible
-/// configurations (SimKnobs::shards > 1) - valid because results are
-/// bit-identical for every shard count. Snapshots (sim/snapshot.hpp) save
-/// and restore a stepper paused between advance() calls.
+/// The stepper runs at the configuration's shard count; between advance()
+/// calls the shard workers wait idle in the workspace's pool. Snapshots
+/// (sim/snapshot.hpp) save and restore a stepper paused between advance()
+/// calls, at any shard count on either side.
 class SimStepper {
  public:
   SimStepper() = default;
 
   /// Binds the stepper to `sim`'s configuration and `ws`, consuming
-  /// `sim`'s single run() permit and resetting the workspace planes. The
+  /// `sim`'s single run() permit, building the shard partition and worker
+  /// pool a sharded run needs and resetting the workspace planes. The
   /// Simulator, its referenced objects, and the workspace must outlive
   /// the stepper's last call.
   void start(Simulator& sim, SimWorkspace& ws);

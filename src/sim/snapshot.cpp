@@ -17,6 +17,7 @@
 #include <utility>
 
 #include "routing/deft_routing.hpp"
+#include "traffic/app_profiles.hpp"
 
 namespace deft {
 namespace {
@@ -216,17 +217,31 @@ class SnapshotAccess {
   }
 
   /// The whole payload after the fingerprint: the stepper's loop state,
-  /// then the run it drives. A stepped run is serial, so its measured
-  /// deliveries count in shard slice 0.
+  /// then the run it drives. Save writes the shards' measurement slices
+  /// as one, its latency samples sorted so that nothing depends on the
+  /// shard count (the summaries sort them anyway); restore reads it into
+  /// slice 0.
   template <class IO>
   static void walk(IO& io, Ref<IO, SimStepper> st) {
+    ShardRun merged;
+    if constexpr (IO::kSaving) {
+      const std::vector<ShardRun>& shards = st.ws_->shard_runs_;
+      merged.region_vc_flits.resize(shards.front().region_vc_flits.size());
+      merged.vl_channel_flits.resize(shards.front().vl_channel_flits.size());
+      for (const ShardRun& sh : shards) {
+        merged.merge_measurements(sh);
+      }
+      std::sort(merged.net_latencies.begin(), merged.net_latencies.end());
+      std::sort(merged.total_latencies.begin(), merged.total_latencies.end());
+    }
+    ShardRun& slice = IO::kSaving ? merged : st.ws_->shard_runs_.front();
     auto& cur = st.cur_;
     io(cur.measure_end, cur.hard_end, cur.now, cur.idle_cycles,
        cur.deadlock, cur.drained, st.done_, cur.counters.created,
        cur.counters.created_measured, cur.counters.dropped_unroutable,
-       st.ws_->shard_runs_.front().delivered_measured);
+       slice.delivered_measured);
     walk(io, *st.sim_);
-    walk(io, *st.ws_, *st.sim_, cur.now);
+    walk(io, *st.ws_, *st.sim_, cur.now, slice);
     if constexpr (!IO::kSaving) {
       if (!io.exhausted()) {
         throw SnapshotError("snapshot holds trailing bytes past its payload");
@@ -269,56 +284,58 @@ class SnapshotAccess {
   /// in image order. `now` is the paused cycle.
   template <class IO>
   static void walk(IO& io, Ref<IO, SimWorkspace> ws, Ref<IO, Simulator> sim,
-                   Cycle now) {
+                   Cycle now, ShardRun& slice) {
     walk(io, ws.packets_);
     walk(io, ws.net_);
     fixed(io, ws.nis_, 48, "snapshot NI count mismatch",
           [&](auto& ni) { walk(io, ni, *sim.topo_, now); });
     walk(io, ws.rc_units_);
     walk(io, ws.surgeon_, sim);
-    auto& sh = ws.shard_runs_.front();
-    worklist(io, sh, ws.nis_.size(), now);
-    seq(io, sh.net_latencies, 4, io);
-    seq(io, sh.total_latencies, 4, io);
+    events(io, ws, now);
+    seq(io, slice.net_latencies, 4, io);
+    seq(io, slice.total_latencies, 4, io);
     // The in-progress results counters: flit hops accumulate in the
     // results, the per-flit statistics in the slice.
-    io(ws.results_.flit_hops, sh.flits_ejected_in_window);
-    fixed(io, sh.region_vc_flits, 8 * kMaxVcsStats,
+    io(ws.results_.flit_hops, slice.flits_ejected_in_window);
+    fixed(io, slice.region_vc_flits, 8 * kMaxVcsStats,
           "snapshot region count mismatch", io);
-    fixed(io, sh.vl_channel_flits, 8, "snapshot VL plane size mismatch", io);
+    fixed(io, slice.vl_channel_flits, 8, "snapshot VL plane size mismatch",
+          io);
   }
 
-  /// The NI worklist: the busy and wake words, then the scheduled-injection
-  /// heap (the vector layout of a binary heap is deterministic, so it
-  /// round-trips verbatim). The cycle indexes NIs by every set bit and
-  /// every event, so restore admits only what the run itself could hold.
+  /// The shards' event heaps as one (cycle, NI)-sorted list. The pop order
+  /// depends only on the multiset, so restore pushes each event into its
+  /// NI's shard heap, and derives the busy words (snapshot.hpp).
   template <class IO>
-  static void worklist(IO& io, Ref<IO, ShardRun> sh, std::size_t num_nis,
-                       Cycle now) {
-    fixed(io, sh.busy, 8, "snapshot NI worklist size mismatch", io);
-    fixed(io, sh.wake, 8, "snapshot NI worklist size mismatch", io);
-    seq(io, sh.events, 16, io);
-    if constexpr (!IO::kSaving) {
-      if (num_nis % 64 != 0 && !sh.busy.empty() &&
-          ((sh.busy.back() | sh.wake.back()) >> (num_nis % 64)) != 0) {
-        throw SnapshotError("snapshot NI worklist marks NIs past the NI count");
+  static void events(IO& io, Ref<IO, SimWorkspace> ws, Cycle now) {
+    std::vector<std::pair<Cycle, std::size_t>> pending;
+    if constexpr (IO::kSaving) {
+      for (const ShardRun& sh : ws.shard_runs_) {
+        pending.insert(pending.end(), sh.events.begin(), sh.events.end());
       }
-      for (const auto& [cycle, ni] : sh.events) {
-        if (ni >= num_nis) {
+      std::sort(pending.begin(), pending.end());
+    }
+    seq(io, pending, 16, io);
+    if constexpr (!IO::kSaving) {
+      const auto shard_of = [&](std::size_t ni) -> ShardRun& {
+        return ws.shard_runs_[static_cast<std::size_t>(
+            ws.partition_.shard_of(ws.nis_[ni].node()))];
+      };
+      for (const auto& [cycle, ni] : pending) {
+        if (ni >= ws.nis_.size()) {
           throw SnapshotError("snapshot injection event names NI " +
                               std::to_string(ni) + " of " +
-                              std::to_string(num_nis));
+                              std::to_string(ws.nis_.size()));
         }
-        if (cycle < now) {
-          throw SnapshotError("snapshot injection event at cycle " +
-                              std::to_string(cycle) +
-                              " precedes the paused cycle " +
-                              std::to_string(now));
-        }
+        not_before<IO>(cycle, now, "injection event");
+        auto& heap = shard_of(ni).events;
+        heap.emplace_back(cycle, ni);
+        std::push_heap(heap.begin(), heap.end(), std::greater<>{});
       }
-      if (!std::is_heap(sh.events.begin(), sh.events.end(),
-                        std::greater<>{})) {
-        throw SnapshotError("snapshot injection events do not form a heap");
+      for (std::size_t i = 0; i < ws.nis_.size(); ++i) {
+        if (ws.nis_[i].busy()) {
+          shard_of(i).busy[i / 64] |= std::uint64_t{1} << (i % 64);
+        }
       }
     }
   }
@@ -361,15 +378,10 @@ class SnapshotAccess {
 
   template <class IO>
   static void walk(IO& io, Ref<IO, Network> net) {
-    if constexpr (IO::kSaving) {
-      if (net.num_shards_ != 1 || net.lanes_.size() != 1) {
-        throw SnapshotError("save_snapshot: stepped runs are serial");
-      }
-    }
     // A stepper pause is a cycle boundary: every staged outbox must have
     // been committed. An occupied outbox means the caller paused somewhere
     // illegal, and the snapshot would silently drop the staged moves. On
-    // restore, prepare() has pre-staged the RC units' initial output
+    // restore, start() has pre-staged the RC units' initial output
     // credits, which a normal run commits in its first apply(); the saved
     // credit planes already include that commit, so every outbox is
     // discarded before the saved state takes over.
@@ -399,24 +411,18 @@ class SnapshotAccess {
           credit);
     fixed(io, net.rc_in_credit_, 8, "snapshot RC credit plane size mismatch",
           credit);
-    auto& lane = net.lanes_[0];
-    fixed(io, lane.active, 8, "snapshot router worklist size mismatch", io);
-    io(lane.flits_buffered, lane.moves);
     if constexpr (!IO::kSaving) {
-      // The step visits exactly the marked routers: a mark past the
-      // router count indexes out of bounds, and an occupied router left
-      // unmarked would strand its flits. (A marked empty router is legal:
-      // fault surgery can empty a router between two steps.)
-      const std::size_t routers = net.routers_.size();
-      if (routers % 64 != 0 && (lane.active.back() >> (routers % 64)) != 0) {
-        throw SnapshotError(
-            "snapshot router worklist marks routers past the router count");
-      }
-      for (std::size_t n = 0; n < routers; ++n) {
-        if (net.routers_[n].occupancy != 0 &&
-            ((lane.active[n / 64] >> (n % 64)) & 1) == 0) {
-          throw SnapshotError("snapshot router worklist leaves occupied "
-                              "router " + std::to_string(n) + " unmarked");
+      // Each shard's lane is derived (snapshot.hpp): its worklist marks
+      // the routers that buffer flits, and its count sums their fill.
+      for (std::size_t n = 0; n < net.routers_.size(); ++n) {
+        const RouterState& rs = net.routers_[n];
+        auto& lane = net.lanes_[static_cast<std::size_t>(
+            net.shard_of(static_cast<NodeId>(n)))];
+        for (int l = 0; l < kNumLanes; ++l) {
+          lane.flits_buffered += static_cast<std::uint64_t>(rs.flits.size(l));
+        }
+        if (rs.occupancy != 0) {
+          lane.active[n / 64] |= std::uint64_t{1} << (n % 64);
         }
       }
     }
@@ -529,7 +535,7 @@ class SnapshotAccess {
     }
     std::array<std::uint64_t, 4> rng = ni.rng_.state();
     // Counter-mode route stream: its key and mode were rebuilt by
-    // prepare() (pure functions of the fingerprint-checked knobs), so
+    // start() (pure functions of the fingerprint-checked knobs), so
     // only the draw count is run state - 0 in serial mode.
     std::uint64_t draws = ni.route_rng_.counter();
     io(rng, draws);
@@ -634,8 +640,13 @@ std::string SnapshotAccess::fingerprint(const Simulator& sim) {
     out << "/" << vl_strategy_name(d->strategy());
   }
   out << "/" << sim.algorithm_->num_vcs() << " traffic="
-      << sim.traffic_->name() << "@"
-      << std::setprecision(std::numeric_limits<double>::max_digits10)
+      << sim.traffic_->name();
+  if (const auto* a = dynamic_cast<const AppTrafficGenerator*>(sim.traffic_)) {
+    for (const AppAssignment& app : a->apps()) {
+      out << "/" << app.profile.code << "x" << app.cores.size();
+    }
+  }
+  out << "@" << std::setprecision(std::numeric_limits<double>::max_digits10)
       << sim.traffic_->rate() << " faults=" << sim.faults_.to_string()
       << " policy=" << static_cast<int>(sim.policy_) << " timeline=[";
   if (sim.timeline_ != nullptr) {
@@ -646,8 +657,8 @@ std::string SnapshotAccess::fingerprint(const Simulator& sim) {
   }
   out << "]";
   // shards is an execution-shape knob with bit-identical results by
-  // contract, so it stays out of the fingerprint: a snapshot of a sharded
-  // configuration restores onto the serial stepper.
+  // contract, so it stays out of the fingerprint: an image restores at
+  // any shard count.
   return out.str();
 }
 

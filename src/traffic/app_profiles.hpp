@@ -78,6 +78,7 @@ class AppTrafficGenerator final : public TrafficGenerator {
   void load_stream_state(const std::vector<std::uint64_t>& in,
                          std::size_t& cursor) override;
 
+  const std::vector<AppAssignment>& apps() const { return apps_; }
   const std::vector<NodeId>& l2_banks() const { return l2_banks_; }
   const std::vector<NodeId>& directories() const { return directories_; }
 

@@ -1,16 +1,13 @@
-// Hand edits of snapshot images (sim/snapshot.hpp) for the rejection
-// tests: the header framing, the payload offsets the tests poke at, and
-// reseal(), which makes an edited image checksum-valid again so that only
-// the restore walk's own checks can turn it away.
+// Hand edits of snapshot images (sim/snapshot.hpp, format v4) for the
+// rejection tests: the header framing, the payload offsets the tests poke
+// at, and reseal(), which makes an edited image checksum-valid again so
+// that only the restore walk's own checks can turn it away.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
-#include <string>
 #include <vector>
-
-#include "stats/stats.hpp"
 
 namespace deft {
 
@@ -82,43 +79,6 @@ inline std::size_t traffic_stream_count_offset(
   return at + 8 + 8 * image_u64(image, at);
 }
 
-/// Offsets of the NI worklist's three length fields - busy words, wake
-/// words, injection events - each followed by its elements (8-byte words;
-/// 16-byte (cycle, NI) events).
-struct WorklistOffsets {
-  std::size_t busy;
-  std::size_t wake;
-  std::size_t events;
-};
-
-/// Locates the NI worklist from the end of the image. After it come the
-/// two latency-sample vectors, one sample each per measured delivery (the
-/// loop state's last counter), then the results counters, which the
-/// topology sizes: flit hops and in-window ejections, `regions` rows of
-/// per-VC counters and `vl_channels` VL counters. The event count is the
-/// one whose three length fields agree.
-inline WorklistOffsets worklist_offsets(const std::vector<std::uint8_t>& image,
-                                        std::size_t ni_words,
-                                        std::size_t regions,
-                                        std::size_t vl_channels) {
-  const std::uint64_t samples =
-      image_u64(image, algorithm_stream_count_offset(image) - 8);
-  const std::size_t tail = 2 * (8 + 4 * samples) + 2 * 8 +
-                           (8 + regions * 8 * kMaxVcsStats) +
-                           (8 + vl_channels * 8);
-  const std::size_t words = 8 + 8 * ni_words;
-  const std::size_t events_end = image.size() - tail;
-  for (std::size_t n = 0; 2 * words + 8 + 16 * n <= events_end; ++n) {
-    const std::size_t events = events_end - 8 - 16 * n;
-    if (image_u64(image, events) == n &&
-        image_u64(image, events - words) == ni_words &&
-        image_u64(image, events - 2 * words) == ni_words) {
-      return {events - 2 * words, events - words, events};
-    }
-  }
-  throw std::runtime_error("snapshot image holds no NI worklist");
-}
-
 /// One router record in an image with an empty network (a run paused at
 /// cycle 1, before its first packet): 32 lane fill counts, all 0, 32
 /// input-VC records (route-ready flag, decision port, decision VC mask,
@@ -135,35 +95,24 @@ inline constexpr std::size_t kRouterOwned = kRouterOccupancy + 8;
 inline constexpr std::size_t kEmptyRouterBytes = kRouterOwned + 4;
 inline constexpr std::size_t kFlitBytes = 7;
 
-/// Offsets of the network's router plane in an empty-network image.
-struct RouterPlaneOffsets {
-  std::size_t routers;  ///< router 0's record (after the 8-byte count)
-  std::size_t active;   ///< the active-router worklist's word count
-};
-
-/// Locates the router plane from the front of an empty-network image.
-/// The loop state is followed by the algorithm's and the traffic
-/// generator's stream words and the packet table: route and packet
-/// counts, both 0 before the first packet (the timestamp plane has no
-/// count of its own). After the
-/// routers come four length-prefixed planes - channel fault marks (1 byte
-/// each), VL next-free cycles, NI credits and RC credits (8 bytes each) -
-/// and then the worklist.
-inline RouterPlaneOffsets empty_router_plane(
-    const std::vector<std::uint8_t>& image) {
+/// Offset of the router plane's count. The loop state is followed by the
+/// algorithm's and the traffic generator's stream words and the packet
+/// table: 22-byte routes, 8-byte hot records and 24-byte timestamp
+/// records, one per packet (the timestamp plane has no count of its own).
+inline std::size_t router_plane_offset(const std::vector<std::uint8_t>& image) {
   std::size_t at = traffic_stream_count_offset(image);
   at += 8 + 8 * image_u64(image, at);
-  if (image_u64(image, at) != 0 || image_u64(image, at + 8) != 0) {
+  at += 8 + 22 * image_u64(image, at);
+  return at + 8 + (8 + 24) * image_u64(image, at);
+}
+
+/// Offset of router 0's record in an empty-network image.
+inline std::size_t first_router_record(const std::vector<std::uint8_t>& image) {
+  const std::size_t at = router_plane_offset(image);
+  if (image_u64(image, at - 16) != 0 || image_u64(image, at - 8) != 0) {
     throw std::runtime_error("snapshot image holds packets");
   }
-  at += 16;
-  const std::size_t first = at + 8;
-  at = first + image_u64(image, at) * kEmptyRouterBytes;
-  at += 8 + image_u64(image, at);
-  for (int i = 0; i < 3; ++i) {
-    at += 8 + 8 * image_u64(image, at);
-  }
-  return {first, at};
+  return at + 8;
 }
 
 /// Offsets of the fields of one NI record the rejection tests edit.
@@ -177,21 +126,18 @@ struct NiRecord {
   std::size_t replies;
 };
 
-/// Walks an image from the front to its NI plane. After the two stream
-/// sections come the packet table (22-byte routes, 8-byte hot records and
-/// 24-byte timestamp records, one per packet), the routers (each lane's
-/// fill count followed by its 7-byte flits, then the fixed rest of
-/// kEmptyRouterBytes), five length-prefixed network planes (channel fault
-/// marks of 1 byte, then VL next-free cycles, NI credits, RC credits and
-/// the active-router words of 8 bytes), the lane's two 8-byte counters,
-/// and the NI count. Each NI opens with its node, RNG state and route
-/// draws (44 bytes), its queue (count, 4-byte ids) and 15 bytes of
-/// active-packet state.
-inline std::vector<NiRecord> ni_records(const std::vector<std::uint8_t>& image) {
-  std::size_t at = traffic_stream_count_offset(image);
-  at += 8 + 8 * image_u64(image, at);
-  at += 8 + 22 * image_u64(image, at);
-  at += 8 + (8 + 24) * image_u64(image, at);
+/// Walks an image from its router plane to the end of its NI plane,
+/// appending each NI's record to `nis`, and returns the offset past the
+/// plane. The routers (each lane's fill count followed by its 7-byte
+/// flits, then the fixed rest of kEmptyRouterBytes) are followed by four
+/// length-prefixed network planes - channel fault marks of 1 byte, then
+/// VL next-free cycles, NI credits and RC credits of 8 bytes - and the
+/// NI count. Each NI opens with its node, RNG state and route draws (44
+/// bytes), its queue (count, 4-byte ids) and 15 bytes of active-packet
+/// state.
+inline std::size_t walk_ni_plane(const std::vector<std::uint8_t>& image,
+                                 std::vector<NiRecord>& nis) {
+  std::size_t at = router_plane_offset(image);
   const std::uint64_t routers = image_u64(image, at);
   at += 8;
   for (std::uint64_t r = 0; r < routers; ++r) {
@@ -201,11 +147,10 @@ inline std::vector<NiRecord> ni_records(const std::vector<std::uint8_t>& image) 
     at += kEmptyRouterBytes - kRouterInputVcs;
   }
   at += 8 + image_u64(image, at);
-  for (int plane = 0; plane < 4; ++plane) {
+  for (int plane = 0; plane < 3; ++plane) {
     at += 8 + 8 * image_u64(image, at);
   }
-  at += 2 * 8;
-  std::vector<NiRecord> nis(static_cast<std::size_t>(image_u64(image, at)));
+  nis.resize(static_cast<std::size_t>(image_u64(image, at)));
   at += 8;
   for (NiRecord& ni : nis) {
     at += 44;
@@ -218,7 +163,44 @@ inline std::vector<NiRecord> ni_records(const std::vector<std::uint8_t>& image) 
     ni.replies = at;
     at += 8 + 13 * image_u64(image, at);
   }
+  return at;
+}
+
+inline std::vector<NiRecord> ni_records(
+    const std::vector<std::uint8_t>& image) {
+  std::vector<NiRecord> nis;
+  walk_ni_plane(image, nis);
   return nis;
+}
+
+/// Offset of the fault surgeon's section (its 8-byte event cursor, then
+/// the fault set's 32 words), after the RC units. Each unit holds its
+/// request queue (count, 16-byte requests), 17 bytes of grant state, its
+/// flit buffer (count, 7-byte flits) and 5 bytes of re-injection state;
+/// the manager's two 8-byte counters and 4-byte busy count follow.
+inline std::size_t surgeon_offset(const std::vector<std::uint8_t>& image) {
+  std::vector<NiRecord> nis;
+  std::size_t at = walk_ni_plane(image, nis);
+  const std::uint64_t units = image_u64(image, at);
+  at += 8;
+  for (std::uint64_t u = 0; u < units; ++u) {
+    at += 8 + 16 * image_u64(image, at);
+    at += 17;
+    at += 8 + kFlitBytes * image_u64(image, at);
+    at += 5;
+  }
+  return at + 20;
+}
+
+/// Offset of the pending NI events' count, followed by 16-byte (cycle,
+/// NI) events. The surgeon's section before it holds its cursor, the
+/// fault set's 32 words, three 8-byte metrics, the fault-window
+/// intervals (count, 16-byte pairs) and the affected-route marks (count,
+/// 1 byte each).
+inline std::size_t events_offset(const std::vector<std::uint8_t>& image) {
+  std::size_t at = surgeon_offset(image) + 8 + 32 * 8 + 3 * 8;
+  at += 8 + 16 * image_u64(image, at);
+  return at + 8 + image_u64(image, at);
 }
 
 }  // namespace deft

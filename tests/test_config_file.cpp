@@ -145,6 +145,29 @@ TEST(ConfigFile, ErrorsAreLineNumbered) {
       << bad_policy;
 }
 
+TEST(ConfigFile, RejectsUnknownSystemsAndTrafficAtTheirLine) {
+  // Both used to parse, and deft_sim then aborted on an uncaught
+  // exception: make_reference_spec builds only the 4- and 6-chiplet
+  // systems, and make_traffic knows five patterns besides trace.
+  const std::string chiplets = thrown_message([] {
+    parse_simulation_config(std::string("seed = 1\nchiplets = 5\n"));
+  });
+  EXPECT_NE(chiplets.find("config: line 2: key 'chiplets' must be 4 or 6"),
+            std::string::npos)
+      << chiplets;
+  const std::string traffic = thrown_message([] {
+    parse_simulation_config(std::string("chiplets = 6\n\ntraffic = unifrom\n"));
+  });
+  EXPECT_NE(traffic.find("config: line 3: unknown traffic pattern 'unifrom'"),
+            std::string::npos)
+      << traffic;
+  for (const std::string name : {"uniform", "localized", "hotspot",
+                                 "transpose", "bit-complement", "trace"}) {
+    EXPECT_EQ(parse_simulation_config("traffic = " + name + "\n").traffic,
+              name);
+  }
+}
+
 TEST(ConfigFile, DeferredFaultResolutionKeepsTheSourceLine) {
   // `faults` and `fault_events` are resolved against the topology long
   // after parsing; their errors must still carry the original line.

@@ -88,6 +88,23 @@ TEST(ValidateRequest, ReportsEveryBadLineWithItsNumber) {
   EXPECT_NE(v.errors[1].message.find("integer"), std::string::npos);
 }
 
+TEST(ValidateRequest, ReportsUnknownSystemsAndTrafficWithTheirLines) {
+  // Both used to pass validation; the engine then rejected them at its
+  // prepare stage, with line 0.
+  const std::string text =
+      "chiplets = 5\n"
+      "algorithm = deft\n"
+      "traffic = unifrom\n"
+      "rate = 0.006\n";
+  const ValidatedRequest v = validate_request(text, RunBudget{});
+  ASSERT_EQ(v.errors.size(), 2u);
+  EXPECT_EQ(v.errors[0].line, 1);
+  EXPECT_NE(v.errors[0].message.find("must be 4 or 6"), std::string::npos);
+  EXPECT_EQ(v.errors[1].line, 3);
+  EXPECT_NE(v.errors[1].message.find("unknown traffic pattern 'unifrom'"),
+            std::string::npos);
+}
+
 TEST(ValidateRequest, ErrorCollectionIsCapped) {
   std::string text;
   for (int i = 0; i < 40; ++i) {
@@ -573,25 +590,44 @@ TEST(CampaignEngine, CheckpointingDoesNotChangeResults) {
 }
 
 TEST(CampaignEngine, ResumesFromACheckpointImage) {
+  // Same id again: the image the first run left behind must be restored -
+  // the run reports the cycle it resumed from and still lands on results
+  // bit-identical to the uninterrupted run. A checkpointed run honours
+  // `shards`, and an image holds no execution shape, so the image a
+  // two-shard run leaves behind resumes at one shard just as well.
+  struct Leg {
+    const char* id;
+    std::string writer;
+    std::string resumer;
+  };
+  const Leg legs[] = {
+      {"r", valid_text(), valid_text()},
+      {"sharded", valid_text() + "shards = 2\n",
+       valid_text() + "shards = 1\n"},
+  };
   TempDir dir;
   const CampaignOptions options = checkpointed_options(dir);
   CampaignEngine engine(options);
-  const ResultRow first =
-      engine.run_batch({make_request("r", valid_text())})[0];
-  ASSERT_EQ(first.outcome, RequestOutcome::ok);
-  // Same id again: the image the first run left behind must be restored -
-  // the run reports the cycle it resumed from and still lands on results
-  // bit-identical to the uninterrupted run.
-  const ResultRow resumed =
-      engine.run_batch({make_request("r", valid_text())})[0];
-  EXPECT_EQ(resumed.outcome, RequestOutcome::ok);
-  EXPECT_GE(resumed.resumed_at, options.checkpoint_min_cycles);
-  EXPECT_EQ(resumed.packets_created, first.packets_created);
-  EXPECT_EQ(resumed.packets_delivered, first.packets_delivered);
-  EXPECT_EQ(resumed.cycles, first.cycles);
-  EXPECT_EQ(resumed.latency_mean, first.latency_mean);
-  EXPECT_NE(resumed.to_json().find("\"resumed_at\": "), std::string::npos);
-  EXPECT_EQ(first.to_json().find("\"resumed_at\": "), std::string::npos);
+  for (const Leg& leg : legs) {
+    SCOPED_TRACE(leg.id);
+    const ResultRow first =
+        engine.run_batch({make_request(leg.id, leg.writer)})[0];
+    ASSERT_EQ(first.outcome, RequestOutcome::ok);
+    const ResultRow resumed =
+        engine.run_batch({make_request(leg.id, leg.resumer)})[0];
+    EXPECT_EQ(resumed.outcome, RequestOutcome::ok);
+    EXPECT_GE(resumed.resumed_at, options.checkpoint_min_cycles);
+    EXPECT_EQ(resumed.drained, first.drained);
+    EXPECT_EQ(resumed.packets_created, first.packets_created);
+    EXPECT_EQ(resumed.packets_delivered, first.packets_delivered);
+    EXPECT_EQ(resumed.packets_lost, first.packets_lost);
+    EXPECT_EQ(resumed.cycles, first.cycles);
+    EXPECT_EQ(resumed.latency_mean, first.latency_mean);
+    EXPECT_EQ(resumed.latency_p95, first.latency_p95);
+    EXPECT_NE(resumed.to_json().find("\"resumed_at\": "),
+              std::string::npos);
+    EXPECT_EQ(first.to_json().find("\"resumed_at\": "), std::string::npos);
+  }
 }
 
 TEST(CampaignEngine, CorruptCheckpointRestartsCleanFromCycleZero) {
@@ -616,10 +652,10 @@ TEST(CampaignEngine, CorruptCheckpointRestartsCleanFromCycleZero) {
   ASSERT_EQ(image_u64(short_stream, at), 4u);
   set_image_u64(short_stream, at, 3);
   reseal(short_stream);
-  // The same checkpoint stamped with format version 2, as a build before
-  // the v3 bump wrote it: rejected on the version.
+  // The same checkpoint stamped with the previous format version, as a
+  // build before the last bump wrote it: rejected on the version.
   std::vector<std::uint8_t> older_format = read_snapshot_file(image);
-  older_format.at(8) = 2;
+  older_format.at(8) = static_cast<std::uint8_t>(kSnapshotVersion - 1);
 
   const std::string inputs[] = {
       "this is not a snapshot",

@@ -8,9 +8,10 @@
 // corrupt, truncated, version-mismatched or wrong-configuration image
 // must be rejected with a SnapshotError, never restored into a silently
 // wrong result. Snapshots rest on the stepper's own guarantee, pinned
-// first: pausing at every cycle boundary changes nothing. The image bytes
-// are pinned too, since a checkpoint written before an upgrade must
-// restore after it.
+// first: pausing at every cycle boundary changes nothing, at any shard
+// count. The image bytes are pinned too, since a checkpoint written before
+// an upgrade must restore after it, and they are the same at every shard
+// count, since an image restores at any other.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -133,10 +134,11 @@ std::unique_ptr<Simulator> make_sim(Run& run) {
       run.timeline.empty() ? nullptr : &run.timeline, run.policy);
 }
 
-std::unique_ptr<Run> make_run(const Scenario& s) {
+std::unique_ptr<Run> make_run(const Scenario& s, int shards = 1) {
   auto run = std::make_unique<Run>();
   run->knobs = golden_knobs();
   run->knobs.rng_mode = s.rng_mode;
+  run->knobs.shards = shards;
   if (s.fault_count > 0) {
     run->faults = grid_fault_pattern(ctx4(), s.fault_count);
   }
@@ -169,18 +171,21 @@ std::uint64_t straight_digest(const Scenario& s) {
   return digest(run->stepper.finish());
 }
 
-/// Runs to `pause`, snapshots, and returns the image (the paused run is
-/// discarded - the restore must not depend on it surviving).
-std::vector<std::uint8_t> snapshot_at(const Scenario& s, Cycle pause) {
-  auto run = make_run(s);
+/// Runs to `pause` at `shards` shards, snapshots, and returns the image
+/// (the paused run is discarded - the restore must not depend on it
+/// surviving).
+std::vector<std::uint8_t> snapshot_at(const Scenario& s, Cycle pause,
+                                      int shards = 1) {
+  auto run = make_run(s, shards);
   run->stepper.start(*run->sim, run->ws);
   run->stepper.advance(pause);
   return save_snapshot(run->stepper);
 }
 
 std::uint64_t resumed_digest(const Scenario& s,
-                             const std::vector<std::uint8_t>& image) {
-  auto run = make_run(s);
+                             const std::vector<std::uint8_t>& image,
+                             int shards = 1) {
+  auto run = make_run(s, shards);
   restore_snapshot(image, *run->sim, run->stepper, run->ws);
   run->stepper.advance();
   return digest(run->stepper.finish());
@@ -190,8 +195,10 @@ TEST(SimStepper, SingleCycleCapsMatchOneShotRun) {
   // The cap parameter itself: advancing a stepper one cycle at a time
   // must reproduce the uncapped run exactly, including the phase
   // transitions (warmup -> measure -> last measure cycle -> drain) that
-  // the capped loop re-dispatches on every advance() call. Each input
-  // carries different state across the pause:
+  // the capped loop re-dispatches on every advance() call - inline at one
+  // shard, and through the worker loop at two and four, where every cap
+  // ends a dispatch to the shard workers. Each input carries different
+  // state across the pause:
   //   - a mid-run link failure and repair under reroute: fault surgery is
   //     driven off the simulation clock, so its events must land on the
   //     same cycles when every cycle is its own advance() call;
@@ -233,33 +240,37 @@ TEST(SimStepper, SingleCycleCapsMatchOneShotRun) {
                          : make_traffic(ctx4().topo(), "uniform", 0.02);
   };
   for (const CapCase& c : cases) {
-    SCOPED_TRACE(c.name);
-    SimKnobs k = knobs;
-    k.rng_mode = c.rng_mode;
-    const auto alg_ref = ctx4().make_algorithm(c.algorithm, {}, k.num_vcs,
-                                               c.strategy);
-    const auto traffic_ref = make_traffic_for(c);
-    Simulator ref(ctx4().topo(), *alg_ref, *traffic_ref, k, {}, c.timeline,
-                  InFlightPolicy::reroute);
-    const SimResults expected = ref.run();
-    EXPECT_GT(expected.packets_created, 0u);
-    if (c.timeline != nullptr) {
-      EXPECT_GT(expected.fault_window_created, 0u);
-    }
+    for (const int shards : {1, 2, 4}) {
+      SCOPED_TRACE(::testing::Message() << c.name << " at " << shards
+                                        << " shards");
+      SimKnobs k = knobs;
+      k.rng_mode = c.rng_mode;
+      k.shards = shards;
+      const auto alg_ref = ctx4().make_algorithm(c.algorithm, {}, k.num_vcs,
+                                                 c.strategy);
+      const auto traffic_ref = make_traffic_for(c);
+      Simulator ref(ctx4().topo(), *alg_ref, *traffic_ref, k, {}, c.timeline,
+                    InFlightPolicy::reroute);
+      const SimResults expected = ref.run();
+      EXPECT_GT(expected.packets_created, 0u);
+      if (c.timeline != nullptr) {
+        EXPECT_GT(expected.fault_window_created, 0u);
+      }
 
-    const auto alg_step = ctx4().make_algorithm(c.algorithm, {}, k.num_vcs,
-                                                c.strategy);
-    const auto traffic_step = make_traffic_for(c);
-    Simulator sim(ctx4().topo(), *alg_step, *traffic_step, k, {}, c.timeline,
-                  InFlightPolicy::reroute);
-    SimWorkspace ws;
-    SimStepper stepper;
-    stepper.start(sim, ws);
-    Cycle cap = 1;
-    while (!stepper.advance(cap)) {
-      ++cap;
+      const auto alg_step = ctx4().make_algorithm(c.algorithm, {},
+                                                  k.num_vcs, c.strategy);
+      const auto traffic_step = make_traffic_for(c);
+      Simulator sim(ctx4().topo(), *alg_step, *traffic_step, k, {},
+                    c.timeline, InFlightPolicy::reroute);
+      SimWorkspace ws;
+      SimStepper stepper;
+      stepper.start(sim, ws);
+      Cycle cap = 1;
+      while (!stepper.advance(cap)) {
+        ++cap;
+      }
+      expect_identical(stepper.finish(), expected);
     }
-    expect_identical(stepper.finish(), expected);
   }
 }
 
@@ -316,13 +327,17 @@ TEST(Snapshot, RestoredRunResumesAtThePausedCycle) {
 TEST(Snapshot, SaveAfterRestoreIsByteIdentical) {
   // Stronger than digest equality: re-serializing a restored run must
   // reproduce the image byte for byte (no state is lost or reordered by
-  // a round trip).
+  // a round trip), also when the restore spreads the run over four
+  // shards.
   for (const Scenario& s : {kScenarios[2], kScenarios[4], kScenarios[6]}) {
-    SCOPED_TRACE(s.name);
     const std::vector<std::uint8_t> image = snapshot_at(s, 777);
-    auto run = make_run(s);
-    restore_snapshot(image, *run->sim, run->stepper, run->ws);
-    EXPECT_EQ(save_snapshot(run->stepper), image);
+    for (const int shards : {1, 4}) {
+      SCOPED_TRACE(::testing::Message() << s.name << " restored at "
+                                        << shards << " shards");
+      auto run = make_run(s, shards);
+      restore_snapshot(image, *run->sim, run->stepper, run->ws);
+      EXPECT_EQ(save_snapshot(run->stepper), image);
+    }
   }
 }
 
@@ -339,26 +354,64 @@ TEST(Snapshot, RepeatedSnapshotsAlongOneRunAgree) {
 }
 
 TEST(Snapshot, RestoredRunsMatchShardedExecution) {
-  // The stepper is always serial, and the sharded core pins its results
-  // to the serial loop's bit for bit, so a serial snapshot resumes a
-  // sharded run exactly. Assert the whole chain: restore at two interior
-  // cycles, finish, and match the digest of shard-2 and shard-4 runs of
-  // the same configuration directly.
+  // An image holds no execution shape, so a run paused at one shard count
+  // resumes at any other: pause at two and at four shards, at two interior
+  // cycles, and restore each image at one, two and four shards. Every
+  // resumed run must finish on the golden digest.
   const Scenario& s = kScenarios[5];
-  const VlFaultSet faults = grid_fault_pattern(ctx4(), s.fault_count);
   for (const Cycle pause : {Cycle{650}, Cycle{1111}}) {
-    SCOPED_TRACE(pause);
-    const std::uint64_t resumed =
-        resumed_digest(s, snapshot_at(s, pause));
-    for (int shards : {2, 4}) {
-      SCOPED_TRACE(shards);
-      SimKnobs knobs = golden_knobs();
-      knobs.shards = shards;
-      UniformTraffic traffic(ctx4().topo(), 0.02);
-      const SimResults sharded = run_sim(ctx4(), s.algorithm, traffic,
-                                         knobs, faults, s.strategy);
-      EXPECT_EQ(digest(sharded), resumed);
+    for (const int saved_at : {2, 4}) {
+      const std::vector<std::uint8_t> image = snapshot_at(s, pause, saved_at);
+      for (const int restored_at : {1, 2, 4}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "paused at " << pause << " on " << saved_at
+                     << " shards, restored on " << restored_at);
+        EXPECT_EQ(resumed_digest(s, image, restored_at), s.expected_digest);
+      }
     }
+  }
+}
+
+TEST(Snapshot, GridRunPausedAtFourShardsRestoresAtOneAndTwo) {
+  // SimShardedCounter.SixtyFourChipletGridMatchesSerial's configuration
+  // (2,048 routers, counter-mode DeFT-Random), paused mid-measure at four
+  // shards: restored at one shard and at two, it finishes on that test's
+  // pinned digest.
+  static const ExperimentContext ctx(make_grid_spec(8, 8, 4, 4));
+  SimKnobs knobs;
+  knobs.warmup = 100;
+  knobs.measure = 300;
+  knobs.drain_max = 1500;
+  knobs.seed = 11;
+  knobs.rng_mode = RngMode::counter;
+  struct GridRun {
+    std::unique_ptr<RoutingAlgorithm> algorithm;
+    UniformTraffic traffic;
+    Simulator sim;
+    SimWorkspace ws;
+    SimStepper stepper;
+    GridRun(const SimKnobs& k, int shards)
+        : algorithm(ctx.make_algorithm(Algorithm::deft, {}, k.num_vcs,
+                                       VlStrategy::random)),
+          traffic(ctx.topo(), 0.003),
+          sim(ctx.topo(), *algorithm, traffic, with_shards(k, shards)) {}
+    static SimKnobs with_shards(SimKnobs k, int shards) {
+      k.shards = shards;
+      return k;
+    }
+  };
+  GridRun paused(knobs, 4);
+  paused.stepper.start(paused.sim, paused.ws);
+  paused.stepper.advance(250);
+  const std::vector<std::uint8_t> image = save_snapshot(paused.stepper);
+  for (const int shards : {1, 2}) {
+    SCOPED_TRACE(shards);
+    GridRun resumed(knobs, shards);
+    restore_snapshot(image, resumed.sim, resumed.stepper, resumed.ws);
+    EXPECT_EQ(resumed.stepper.now(), 250);
+    resumed.stepper.advance();
+    const std::uint64_t d = digest(resumed.stepper.finish());
+    EXPECT_EQ(d, 0x44a5156fc77341afULL) << "0x" << std::hex << d;
   }
 }
 
@@ -390,8 +443,10 @@ TEST(Snapshot, ImageBytesArePinned) {
   // before an upgrade must restore after it. Each case reaches a section
   // the golden digests only see indirectly - RC units, trace cursors,
   // per-NI counter-stream draws, the fault surgeon mid-window, reply
-  // FIFOs and burst flags. A failure here means the image changed: bump
-  // kSnapshotVersion and re-pin. Last re-pinned for format v3.
+  // FIFOs and burst flags. Each is saved at one, two and four shards and
+  // must give the same bytes: no execution shape is left in the image. A
+  // failure here means the image changed: bump kSnapshotVersion and
+  // re-pin. Last re-pinned for format v4.
   struct Pin {
     const Scenario* scenario;
     Cycle pause;
@@ -399,19 +454,22 @@ TEST(Snapshot, ImageBytesArePinned) {
     std::uint64_t fnv;
   };
   const Pin pins[] = {
-      {&kScenarios[4], 777, 112552, 0x5a58b54207766819ULL},
-      {&kScenarios[7], 777, 146741, 0xee0200ab7112145dULL},
-      {&kCounterRandom, 1250, 149562, 0xc274fa50700a7c70ULL},
-      {&kFailRepair, 1000, 129941, 0xd8d2c72c0551494eULL},
-      {&kApplication, 777, 69635, 0x195c66d1e09f2f04ULL},
+      {&kScenarios[4], 777, 112464, 0x0c3f89cc0f9df069ULL},
+      {&kScenarios[7], 777, 146653, 0xc01b526766b70720ULL},
+      {&kCounterRandom, 1250, 149474, 0x29d80dfb7ad8a45fULL},
+      {&kFailRepair, 1000, 129853, 0xcc3f71ebc7f81646ULL},
+      {&kApplication, 777, 69553, 0x47fec7be87490071ULL},
   };
   for (const Pin& pin : pins) {
-    SCOPED_TRACE(pin.scenario->name);
-    const std::vector<std::uint8_t> image =
-        snapshot_at(*pin.scenario, pin.pause);
-    const std::uint64_t fnv = snapshot_fnv1a(image.data(), image.size());
-    EXPECT_EQ(image.size(), pin.size);
-    EXPECT_EQ(fnv, pin.fnv) << "0x" << std::hex << fnv;
+    for (const int shards : {1, 2, 4}) {
+      SCOPED_TRACE(::testing::Message() << pin.scenario->name << " at "
+                                        << shards << " shards");
+      const std::vector<std::uint8_t> image =
+          snapshot_at(*pin.scenario, pin.pause, shards);
+      const std::uint64_t fnv = snapshot_fnv1a(image.data(), image.size());
+      EXPECT_EQ(image.size(), pin.size);
+      EXPECT_EQ(fnv, pin.fnv) << "0x" << std::hex << fnv;
+    }
   }
 }
 
@@ -491,48 +549,11 @@ std::string restore_error(const Scenario& s,
   return "";
 }
 
-std::size_t ni_words() { return (ctx4().topo().endpoints().size() + 63) / 64; }
-
-WorklistOffsets worklist_of(const std::vector<std::uint8_t>& image) {
-  const Topology& topo = ctx4().topo();
-  return worklist_offsets(
-      image, ni_words(), static_cast<std::size_t>(topo.num_chiplets()) + 1,
-      static_cast<std::size_t>(topo.num_vl_channels()));
-}
-
-// The cycle indexes NIs by every worklist bit and every injection event,
-// so restore must admit only a worklist the run itself could hold. Each
-// edited image below is checksum-valid.
-
-TEST(Snapshot, WorklistSizedForAnotherNiCountIsRejected) {
-  const std::vector<std::uint8_t> image = snapshot_at(kScenarios[0], 600);
-  const WorklistOffsets at = worklist_of(image);
-  EXPECT_EQ(restore_error(kScenarios[0], image), "");
-  EXPECT_NE(restore_error(kScenarios[0],
-                          with_u64(image, at.busy, ni_words() + 1))
-                .find("worklist size mismatch"),
-            std::string::npos);
-  // A bit past the NI count in the last busy word.
-  const std::size_t num_nis = ctx4().topo().endpoints().size();
-  ASSERT_NE(num_nis % 64, 0u);
-  const std::size_t last = at.busy + 8 * ni_words();
-  EXPECT_NE(restore_error(kScenarios[0],
-                          with_u64(image, last,
-                                   image_u64(image, last) |
-                                       std::uint64_t{1} << (num_nis % 64)))
-                .find("past the NI count"),
-            std::string::npos);
-}
-
 TEST(Snapshot, FaultSetPastTheTopologyIsRejected) {
-  // The surgeon's section ends right before the NI worklist: its cursor,
-  // the fault set's 32 words, three 8-byte metrics, and the interval and
-  // affected-route counts, both 0 in a fault-free run.
+  // The surgeon's section opens with its cursor and the fault set's 32
+  // words; the last word's top bit is channel 2047.
   const std::vector<std::uint8_t> image = snapshot_at(kScenarios[0], 600);
-  const std::size_t busy = worklist_of(image).busy;
-  ASSERT_EQ(image_u64(image, busy - 8), 0u);
-  ASSERT_EQ(image_u64(image, busy - 16), 0u);
-  const std::size_t last_word = busy - 40 - 8;
+  const std::size_t last_word = surgeon_offset(image) + 8 + 31 * 8;
   ASSERT_EQ(image_u64(image, last_word), 0u);
   EXPECT_NE(restore_error(kScenarios[0],
                           with_u64(image, last_word, std::uint64_t{1} << 63))
@@ -540,14 +561,18 @@ TEST(Snapshot, FaultSetPastTheTopologyIsRejected) {
             std::string::npos);
 }
 
+// The cycle indexes NIs by every pending event, so restore must admit
+// only events the run itself could hold. Each edited image below is
+// checksum-valid.
+
 TEST(Snapshot, InjectionEventNamingAMissingNiIsRejected) {
   // Such an image used to restore; the first advance() then set a wake bit
   // far out of bounds.
   const std::vector<std::uint8_t> image = snapshot_at(kScenarios[0], 600);
-  const WorklistOffsets at = worklist_of(image);
-  const std::uint64_t events = image_u64(image, at.events);
+  const std::size_t at = events_offset(image);
+  const std::uint64_t events = image_u64(image, at);
   ASSERT_GT(events, 0u);
-  const std::size_t last_ni = at.events + 16 * events;
+  const std::size_t last_ni = at + 16 * events;
   EXPECT_NE(restore_error(kScenarios[0], with_u64(image, last_ni, 100000))
                 .find("names NI 100000"),
             std::string::npos);
@@ -555,24 +580,12 @@ TEST(Snapshot, InjectionEventNamingAMissingNiIsRejected) {
 
 TEST(Snapshot, InjectionEventBeforeThePausedCycleIsRejected) {
   const std::vector<std::uint8_t> image = snapshot_at(kScenarios[0], 600);
-  const WorklistOffsets at = worklist_of(image);
-  const std::uint64_t events = image_u64(image, at.events);
+  const std::size_t at = events_offset(image);
+  const std::uint64_t events = image_u64(image, at);
   ASSERT_GT(events, 0u);
-  const std::size_t last_cycle = at.events + 16 * events - 8;
+  const std::size_t last_cycle = at + 16 * events - 8;
   EXPECT_NE(restore_error(kScenarios[0], with_u64(image, last_cycle, 599))
                 .find("precedes the paused cycle 600"),
-            std::string::npos);
-}
-
-TEST(Snapshot, InjectionEventsOutOfHeapOrderAreRejected) {
-  // The heap's root is its earliest event; a later root breaks the order
-  // the draw pops events in.
-  const std::vector<std::uint8_t> image = snapshot_at(kScenarios[0], 600);
-  const WorklistOffsets at = worklist_of(image);
-  ASSERT_GE(image_u64(image, at.events), 2u);
-  EXPECT_NE(restore_error(kScenarios[0],
-                          with_u64(image, at.events + 8, 4999))
-                .find("do not form a heap"),
             std::string::npos);
 }
 
@@ -657,10 +670,10 @@ TEST(Snapshot, BurstFlagsOfAnotherShapeAreRejected) {
             std::string::npos);
 }
 
-// The cycle also indexes router state: the active-router worklist names
-// the routers a step visits, occupancy bits name lanes, owned bits name
-// owner (port, VC) pairs, and route decisions and allocated VCs index
-// per-port and per-VC arrays. Each edit below is made on an image paused
+// The cycle also indexes router state: occupancy bits name lanes (and
+// put a router on its shard's worklist), owned bits name owner (port, VC)
+// pairs, and route decisions and allocated VCs index per-port and per-VC
+// arrays. Each edit below is made on an image paused
 // at cycle 1, before the first packet, where the packet table is empty
 // and every router record has its fixed empty size, and is resealed.
 // Before these checks each edited image restored, and the first
@@ -677,7 +690,7 @@ std::vector<std::uint8_t> with_byte(std::vector<std::uint8_t> image,
 /// Offset of router `node`'s record in an empty-network image.
 std::size_t router_record(const std::vector<std::uint8_t>& image,
                           std::size_t node) {
-  return empty_router_plane(image).routers + node * kEmptyRouterBytes;
+  return first_router_record(image) + node * kEmptyRouterBytes;
 }
 
 /// `image` with one flit (packet 0, a head-and-tail flit) buffered in
@@ -696,62 +709,6 @@ std::vector<std::uint8_t> with_buffered_flit(std::vector<std::uint8_t> image,
                flit + kFlitBytes);
   reseal(image);
   return image;
-}
-
-TEST(Snapshot, RouterWorklistSizedForAnotherRouterCountIsRejected) {
-  // 128 routers fill two worklist words; a third would send the step to
-  // routers 128 to 191.
-  std::vector<std::uint8_t> image = snapshot_at(kScenarios[0], 1);
-  EXPECT_EQ(restore_error(kScenarios[0], image), "");
-  const std::size_t at = empty_router_plane(image).active;
-  ASSERT_EQ(image_u64(image, at), 2u);
-  image.insert(image.begin() + static_cast<std::ptrdiff_t>(at + 8), 8, 0);
-  EXPECT_NE(restore_error(kScenarios[0], with_u64(image, at, 3))
-                .find("router worklist size mismatch"),
-            std::string::npos);
-}
-
-TEST(Snapshot, RouterWorklistMarkPastTheRouterCountIsRejected) {
-  // The reference systems fill whole worklist words (128 and 192
-  // routers); the two-chiplet system has 37, so its one word has bits no
-  // router owns.
-  static const ExperimentContext ctx(make_two_chiplet_spec());
-  ASSERT_EQ(ctx.topo().num_nodes(), 37);
-  struct Run37 {
-    std::unique_ptr<RoutingAlgorithm> algorithm =
-        ctx.make_algorithm(Algorithm::deft, {}, 2);
-    UniformTraffic traffic{ctx.topo(), 0.02};
-    Simulator sim{ctx.topo(), *algorithm, traffic, golden_knobs()};
-    SimWorkspace ws;
-    SimStepper stepper;
-  };
-  Run37 paused;
-  paused.stepper.start(paused.sim, paused.ws);
-  paused.stepper.advance(1);
-  const std::vector<std::uint8_t> image = save_snapshot(paused.stepper);
-  const auto restore_error_37 = [](const std::vector<std::uint8_t>& edited) {
-    Run37 run;
-    try {
-      restore_snapshot(edited, run.sim, run.stepper, run.ws);
-    } catch (const SnapshotError& e) {
-      return std::string(e.what());
-    }
-    return std::string();
-  };
-  EXPECT_EQ(restore_error_37(image), "");
-  const std::size_t word = empty_router_plane(image).active + 8;
-  EXPECT_NE(restore_error_37(with_u64(image, word, std::uint64_t{1} << 37))
-                .find("marks routers past the router count"),
-            std::string::npos);
-}
-
-TEST(Snapshot, OccupiedRouterMissingFromTheWorklistIsRejected) {
-  // The step never visits an unmarked router, so its flits would strand.
-  const std::vector<std::uint8_t> image =
-      with_buffered_flit(snapshot_at(kScenarios[0], 1), 5, 0);
-  EXPECT_NE(restore_error(kScenarios[0], image)
-                .find("leaves occupied router 5 unmarked"),
-            std::string::npos);
 }
 
 TEST(Snapshot, OccupancyBitDisagreeingWithItsLaneIsRejected) {
@@ -891,17 +848,17 @@ TEST(Snapshot, BadMagicIsRejected) {
 }
 
 TEST(Snapshot, UnsupportedVersionIsRejected) {
-  // A v2 checkpoint (64-channel fault masks, no reply queues) and one
-  // from a future build both fail on the version, before any payload is
-  // read - the error a campaign answers by restarting from cycle 0.
-  ASSERT_EQ(kSnapshotVersion, 3u);
-  for (const std::uint32_t version : {2u, kSnapshotVersion + 1}) {
+  // A v3 checkpoint (slice 0's NI and router worklists) and one from a
+  // future build both fail on the version, before any payload is read -
+  // the error a campaign answers by restarting from cycle 0.
+  ASSERT_EQ(kSnapshotVersion, 4u);
+  for (const std::uint32_t version : {3u, kSnapshotVersion + 1}) {
     SCOPED_TRACE(version);
     std::vector<std::uint8_t> image = snapshot_at(kScenarios[0], 600);
     image[8] = static_cast<std::uint8_t>(version);
     EXPECT_NE(restore_error(kScenarios[0], image)
                   .find("unsupported snapshot version " +
-                        std::to_string(version) + " (expected 3)"),
+                        std::to_string(version) + " (expected 4)"),
               std::string::npos);
   }
 }
@@ -942,6 +899,18 @@ TEST(Snapshot, VlStrategyAndTrafficRateAreInTheFingerprint) {
     EXPECT_NE(restore_error(other, image).find("configuration mismatch"),
               std::string::npos);
   }
+}
+
+TEST(Snapshot, ApplicationMixIsInTheFingerprint) {
+  // Before format v4 the fingerprint named every mix "application": this
+  // ST+FL image restored into the BO+CA run at the same rate scale, which
+  // then ended at cycle 2,022 instead of failing.
+  const Scenario bo_ca = {"bo_ca_application", Algorithm::deft,
+                          VlStrategy::table, 0, false, kBoCaDigest,
+                          RngMode::serial, false, &kAppGoldens[2]};
+  EXPECT_NE(restore_error(bo_ca, snapshot_at(kStFl, 600))
+                .find("configuration mismatch"),
+            std::string::npos);
 }
 
 TEST(Snapshot, UnstartedStepperCannotBeSaved) {

@@ -21,16 +21,17 @@
 //
 // --kill9 switches to the crash-recovery campaign instead: the daemon is
 // booted with a write-ahead journal and a checkpoint directory, fed a mix
-// of quick and long-running requests, SIGKILLed the moment a long run's
-// checkpoint image appears, and restarted with the same flags. The
-// recovery assertions:
+// of quick and long-running requests (every other long run at two
+// shards), SIGKILLed the moment a two-shard run's checkpoint image
+// appears, and restarted with the same flags. The recovery assertions:
 //
 //   * every request still reaches exactly ONE terminal row - nothing is
 //     lost, nothing is duplicated, across the kill,
 //   * each request class still lands on its expected outcome,
 //   * every long run that was mid-flight at kill time (checkpoint on
 //     disk, no terminal row yet) resumes from its snapshot, proven by a
-//     `resumed_at` cycle in its final row rather than a cycle-0 restart.
+//     `resumed_at` cycle in its final row rather than a cycle-0 restart,
+//     and at least one of them is a two-shard run.
 //
 // Options: --requests N (default 1000; default 80 with --kill9),
 // --workers N (default 2), --high-water N (default 64), --kill9,
@@ -39,6 +40,7 @@
 #include <sys/types.h>
 #include <sys/wait.h>
 
+#include <algorithm>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -191,11 +193,13 @@ std::string malformed_config(int variant) {
 
 /// A run long enough (~60k measured cycles) that the daemon is still
 /// mid-simulation when its first checkpoints (every 1000 cycles past
-/// 1000) hit the disk - the SIGKILL window.
-std::string long_config() {
-  return "chiplets = 4\nalgorithm = deft\ntraffic = uniform\n"
-         "rate = 0.004\nwarmup = 500\nmeasure = 60000\n"
-         "drain_max = 100000\nseed = 9\n";
+/// 1000) hit the disk - the SIGKILL window. A `sharded` run executes at
+/// two shards, so the restart resumes a two-shard checkpoint.
+std::string long_config(bool sharded) {
+  return std::string("chiplets = 4\nalgorithm = deft\ntraffic = uniform\n"
+                     "rate = 0.004\nwarmup = 500\nmeasure = 60000\n"
+                     "drain_max = 100000\nseed = 9\n") +
+         (sharded ? "shards = 2\n" : "");
 }
 
 int run_kill9(const std::string& daemon_bin, const std::string& client_bin,
@@ -219,6 +223,7 @@ int run_kill9(const std::string& daemon_bin, const std::string& client_bin,
   // ---- the campaign: quick ok runs + malformed + long checkpointed ----
   std::map<std::string, std::string> expected;  // id -> expected outcome
   std::set<std::string> long_ids;
+  std::set<std::string> sharded_ids;  ///< the long runs at two shards
   std::vector<std::filesystem::path> staged;
   for (int i = 0; i < requests; ++i) {
     char id[64];
@@ -226,9 +231,13 @@ int run_kill9(const std::string& daemon_bin, const std::string& client_bin,
     std::string outcome;
     if (i % 20 == 2) {
       std::snprintf(id, sizeof(id), "long-%04d", i);
-      body = long_config();
+      const bool sharded = i % 40 == 22;  // every other long run
+      body = long_config(sharded);
       outcome = "ok";
       long_ids.insert(id);
+      if (sharded) {
+        sharded_ids.insert(id);
+      }
     } else if (i % 10 == 7) {
       std::snprintf(id, sizeof(id), "bad-%04d", i);
       body = malformed_config(i);
@@ -279,13 +288,14 @@ int run_kill9(const std::string& daemon_bin, const std::string& client_bin,
     }
   }
 
-  // ---- wait for a checkpoint image, then SIGKILL mid-batch ------------
+  // ---- wait for a two-shard run's checkpoint, then SIGKILL mid-batch ---
   bool saw_checkpoint = false;
   for (int waited_ms = 0; waited_ms < 120'000; waited_ms += 25) {
     std::error_code ec;
     for (const std::filesystem::directory_entry& entry :
          std::filesystem::directory_iterator(ckpts, ec)) {
-      if (entry.path().extension() == ".ckpt") {
+      if (entry.path().extension() == ".ckpt" &&
+          sharded_ids.count(entry.path().stem().string()) != 0) {
         saw_checkpoint = true;
         break;
       }
@@ -296,8 +306,8 @@ int run_kill9(const std::string& daemon_bin, const std::string& client_bin,
     usleep(25 * 1000);
   }
   chaos_check(saw_checkpoint,
-        "no checkpoint image appeared within 120s (long runs too short, "
-        "or checkpointing is broken)");
+        "no two-shard checkpoint image appeared within 120s (long runs "
+        "too short, or checkpointing is broken)");
   if (!saw_checkpoint) {
     kill(daemon_pid, SIGKILL);
     return 1;
@@ -345,6 +355,12 @@ int run_kill9(const std::string& daemon_bin, const std::string& client_bin,
   chaos_check(!must_resume.empty(),
         "SIGKILL landed after every checkpointed run finished - no "
         "resume path exercised");
+  chaos_check(std::any_of(must_resume.begin(), must_resume.end(),
+                          [&](const std::string& id) {
+                            return sharded_ids.count(id) != 0;
+                          }),
+        "no two-shard run was mid-flight at the kill - the sharded "
+        "resume path went unexercised");
 
   // ---- restart with identical flags; recovery must finish the job ----
   daemon_pid = spawn(daemon_argv);
