@@ -19,7 +19,6 @@ DeftRouting::DeftRouting(const Topology& topo,
                          std::uint64_t seed)
     : topo_(&topo),
       tables_(std::move(tables)),
-      xy_(topo),
       faults_(faults),
       num_vcs_(num_vcs),
       strategy_(strategy),
@@ -201,7 +200,7 @@ RouteDecision DeftRouting::route(NodeId node, Port in_port, int in_vc,
   if (here.chiplet != kInterposer) {
     if (src.chiplet == dst.chiplet) {
       // Intra-chiplet: minimal XY in the assigned VN (Theorem III.1).
-      decision.out_port = xy_.step(node, rt.dst);
+      decision.out_port = xy_step(*topo_, node, rt.dst);
       decision.vcs = vn_vcs(vn);
     } else if (here.chiplet == src.chiplet) {
       // Source phase: head for the selected down VL in VN.0; at the VL the
@@ -210,18 +209,18 @@ RouteDecision DeftRouting::route(NodeId node, Port in_port, int in_vc,
         decision.out_port = Port::down;
         decision.vcs = all_vcs();
       } else {
-        decision.out_port = xy_.step(node, rt.down_node);
+        decision.out_port = xy_step(*topo_, node, rt.down_node);
         decision.vcs = vn_vcs(0);
       }
     } else {
       // Destination phase: the Up hop forced VN.1 (Rule 2); minimal XY.
-      decision.out_port = xy_.step(node, rt.dst);
+      decision.out_port = xy_step(*topo_, node, rt.dst);
       decision.vcs = vn_vcs(1);
     }
   } else {
     if (dst.chiplet == kInterposer) {
       // Interposer destination: stay in the current VN to ejection.
-      decision.out_port = xy_.step(node, rt.dst);
+      decision.out_port = xy_step(*topo_, node, rt.dst);
       decision.vcs = vn_vcs(vn);
     } else if (node == rt.up_exit) {
       // Second vertical hop. Algorithm 1 switches to VN.1 "coming from the
@@ -235,7 +234,7 @@ RouteDecision DeftRouting::route(NodeId node, Port in_port, int in_vc,
     } else {
       // Transit on the interposer: stay in the current VN (Algorithm 1);
       // Theorem III.2 permits either VN here.
-      decision.out_port = xy_.step(node, rt.up_exit);
+      decision.out_port = xy_step(*topo_, node, rt.up_exit);
       decision.vcs = vn_vcs(vn);
     }
   }

@@ -23,7 +23,6 @@
 
 #include "common/rng.hpp"
 #include "routing/routing.hpp"
-#include "routing/xy_table.hpp"
 #include "vlsel/table.hpp"
 
 namespace deft {
@@ -97,7 +96,6 @@ class DeftRouting final : public RoutingAlgorithm {
 
   const Topology* topo_;
   std::shared_ptr<const SystemVlTables> tables_;
-  XyRouteTable xy_;  ///< memoized XY next hops for every same-mesh pair
   VlFaultSet faults_;
   int num_vcs_;
   VlStrategy strategy_;

@@ -5,7 +5,7 @@
 namespace deft {
 
 RcRouting::RcRouting(const Topology& topo, VlFaultSet faults, int num_vcs)
-    : topo_(&topo), xy_(topo), faults_(faults), num_vcs_(num_vcs) {
+    : topo_(&topo), faults_(faults), num_vcs_(num_vcs) {
   require(num_vcs_ >= 1 && num_vcs_ <= kMaxVcs, "RcRouting: bad VC count");
   nearest_vl_.assign(static_cast<std::size_t>(topo.num_nodes()), kInvalidVl);
   for (int c = 0; c < topo.num_chiplets(); ++c) {
@@ -95,10 +95,11 @@ RouteDecision RcRouting::route(NodeId node, Port in_port, int in_vc,
 
   if (here.chiplet != kInterposer) {
     if (src.chiplet == dst.chiplet) {
-      decision.out_port = xy_.step(node, rt.dst);
+      decision.out_port = xy_step(*topo_, node, rt.dst);
     } else if (here.chiplet == src.chiplet) {
-      decision.out_port =
-          node == rt.down_node ? Port::down : xy_.step(node, rt.down_node);
+      decision.out_port = node == rt.down_node
+                              ? Port::down
+                              : xy_step(*topo_, node, rt.down_node);
     } else if (in_port == Port::up && rt.rc_absorb) {
       // Destination crossing: the whole packet is absorbed into the
       // reserved RC buffer before re-entering the chiplet network.
@@ -106,15 +107,15 @@ RouteDecision RcRouting::route(NodeId node, Port in_port, int in_vc,
       decision.vcs = vc_bit(0);
     } else {
       // Re-injected by the RC unit (or already past it): minimal XY.
-      decision.out_port = xy_.step(node, rt.dst);
+      decision.out_port = xy_step(*topo_, node, rt.dst);
     }
   } else {
     if (dst.chiplet == kInterposer) {
-      decision.out_port = xy_.step(node, rt.dst);
+      decision.out_port = xy_step(*topo_, node, rt.dst);
     } else if (node == rt.up_exit) {
       decision.out_port = Port::up;
     } else {
-      decision.out_port = xy_.step(node, rt.up_exit);
+      decision.out_port = xy_step(*topo_, node, rt.up_exit);
     }
   }
   return decision;

@@ -23,7 +23,6 @@
 #pragma once
 
 #include "routing/routing.hpp"
-#include "routing/xy_table.hpp"
 
 namespace deft {
 
@@ -63,7 +62,6 @@ class RcRouting final : public RoutingAlgorithm {
 
  private:
   const Topology* topo_;
-  XyRouteTable xy_;  ///< memoized XY next hops for every same-mesh pair
   VlFaultSet faults_;
   int num_vcs_;
   /// nearest_vl_[node] = VL closest to this chiplet node (kInvalidVl for

@@ -177,10 +177,11 @@ class RoutingAlgorithm {
 
 /// One XY hop on a mesh: the port moving `cur` toward `target` (both must
 /// be on the same mesh), X first, then Y; Port::local when cur == target.
+/// This is the per-hop XY function of DeFT's and RC's route stage: every
+/// XY leg is computed from the two routers' mesh coordinates.
 Port xy_step(const Topology& topo, NodeId cur, NodeId target);
 
-/// All minimal next-hop ports from `cur` toward `target` on the same mesh
-/// (both X and Y moves when both remain); used by adaptive baselines.
+/// The mask admitting every VC index below `num_vcs`.
 VcMask all_vcs_mask(int num_vcs);
 
 /// Position-aware viability of a route-carrying packet (DeFT/RC): true

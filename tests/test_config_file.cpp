@@ -1,6 +1,7 @@
 // Configuration-file parser tests and VL-serialization knob tests.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
 
 #include "core/config_file.hpp"
@@ -239,6 +240,11 @@ TEST(ConfigFile, LoadsTraceReplayFromAFile) {
   const Topology topo(make_reference_spec(4));
   const std::string path =
       ::testing::TempDir() + "/config_file_test.trace";
+  // Removes the trace when the test ends, on the failure paths too.
+  struct RemoveOnExit {
+    const std::string& path;
+    ~RemoveOnExit() { std::remove(path.c_str()); }
+  } remove_trace{path};
   const std::vector<TraceRecord> records =
       record_uniform_trace(topo, 0.02, 200);
   ASSERT_FALSE(records.empty());

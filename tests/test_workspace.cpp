@@ -15,6 +15,10 @@
 //     identical scenario performs no heap allocations at all - asserted
 //     with a counting global operator new. This is the property that
 //     makes thousands-of-short-runs sweeps (the Fig. 7/8 workload) cheap.
+//
+// The same counter also bounds what building one routing instance
+// allocates on the large grids, where an O(routers^2) structure would
+// cost more than the simulation it routes.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -26,18 +30,25 @@
 #include "sim_results_checks.hpp"
 
 // ---------------------------------------------------------------------------
-// Counting operator new. The counter only ticks while armed, so gtest's
-// own bookkeeping outside the measured window stays invisible. Replacing
-// the global allocation functions is per-binary; this file owns them.
+// Counting operator new: calls and requested bytes. The counters only
+// tick while armed, so gtest's own bookkeeping outside the measured
+// window stays invisible. Replacing the global allocation functions is
+// per-binary; this file owns them.
 
 namespace {
 std::atomic<bool> g_count_allocs{false};
 std::atomic<std::uint64_t> g_alloc_calls{0};
+std::atomic<std::uint64_t> g_alloc_bytes{0};
 
-void* counted_alloc(std::size_t size) {
+void count_alloc(std::size_t size) {
   if (g_count_allocs.load(std::memory_order_relaxed)) {
     g_alloc_calls.fetch_add(1, std::memory_order_relaxed);
+    g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
   }
+}
+
+void* counted_alloc(std::size_t size) {
+  count_alloc(size);
   void* p = std::malloc(size == 0 ? 1 : size);
   if (p == nullptr) {
     throw std::bad_alloc();
@@ -46,9 +57,7 @@ void* counted_alloc(std::size_t size) {
 }
 
 void* counted_alloc_aligned(std::size_t size, std::align_val_t align) {
-  if (g_count_allocs.load(std::memory_order_relaxed)) {
-    g_alloc_calls.fetch_add(1, std::memory_order_relaxed);
-  }
+  count_alloc(size);
   const std::size_t a = static_cast<std::size_t>(align);
   const std::size_t n = size == 0 ? a : (size + a - 1) / a * a;
   void* p = std::aligned_alloc(a, n);  // C11 wants size % align == 0
@@ -363,6 +372,29 @@ TEST(SimWorkspace, DistinctRoutesStayFarBelowPacketCount) {
   // ...which is what keeps the interned plane far smaller than the
   // packet table once a run is longer than a few thousand packets.
   EXPECT_LT(ws.distinct_routes(), r.packets_created / 2);
+}
+
+TEST(AlgorithmFootprint, GridRoutingAllocatesLinearlyInRouters) {
+  // DeFT and RC route every XY leg from the two routers' mesh
+  // coordinates, so building an instance allocates per-chiplet and
+  // per-router state only - nothing per router pair. On the 256-chiplet
+  // grid (8,192 routers) a node x node next-hop table would be 64 MiB,
+  // about 8 KiB per router.
+  const ExperimentContext ctx(make_grid_spec(16, 16, 4, 4));
+  const std::uint64_t routers =
+      static_cast<std::uint64_t>(ctx.topo().num_nodes());
+  for (Algorithm algorithm : {Algorithm::deft, Algorithm::rc}) {
+    SCOPED_TRACE(algorithm_name(algorithm));
+    g_alloc_bytes.store(0, std::memory_order_relaxed);
+    g_count_allocs.store(true, std::memory_order_relaxed);
+    const auto alg =
+        ctx.make_algorithm(algorithm, {}, 2, VlStrategy::distance);
+    g_count_allocs.store(false, std::memory_order_relaxed);
+    const std::uint64_t bytes = g_alloc_bytes.load(std::memory_order_relaxed);
+    ASSERT_NE(alg, nullptr);
+    EXPECT_LT(bytes, 64 * routers)
+        << bytes << " bytes for " << routers << " routers";
+  }
 }
 
 }  // namespace

@@ -35,7 +35,8 @@
 //
 // Options: --requests N (default 1000; default 80 with --kill9),
 // --workers N (default 2), --high-water N (default 64), --kill9,
-// --keep (do not delete the work dir).
+// --keep (do not delete the work dir). The work dir is created under
+// $TMPDIR, or /tmp when it is unset or empty.
 // Exits 0 when every assertion holds, 1 otherwise.
 #include <sys/types.h>
 #include <sys/wait.h>
@@ -202,12 +203,23 @@ std::string long_config(bool sharded) {
          (sharded ? "shards = 2\n" : "");
 }
 
+/// Creates a fresh `deft_chaos_XXXXXX` work directory under $TMPDIR when it
+/// is set and non-empty, under /tmp otherwise. Returns "" on failure.
+std::string make_work_dir() {
+  const char* tmpdir = std::getenv("TMPDIR");
+  std::string work = tmpdir != nullptr && tmpdir[0] != '\0' ? tmpdir : "/tmp";
+  work += "/deft_chaos_XXXXXX";
+  if (mkdtemp(work.data()) == nullptr) {
+    std::perror("mkdtemp");
+    return "";
+  }
+  return work;
+}
+
 int run_kill9(const std::string& daemon_bin, const std::string& client_bin,
               int requests, int workers, bool keep) {
-  char work_template[] = "/tmp/deft_chaos_XXXXXX";
-  const char* work = mkdtemp(work_template);
-  if (work == nullptr) {
-    std::perror("mkdtemp");
+  const std::string work = make_work_dir();
+  if (work.empty()) {
     return 1;
   }
   const std::filesystem::path workdir(work);
@@ -218,7 +230,7 @@ int run_kill9(const std::string& daemon_bin, const std::string& client_bin,
   const std::filesystem::path manifest = workdir / "manifest.txt";
   const std::filesystem::path journal = workdir / "journal.log";
   std::filesystem::create_directories(stage);
-  std::printf("chaos(kill9): work dir %s\n", work);
+  std::printf("chaos(kill9): work dir %s\n", work.c_str());
 
   // ---- the campaign: quick ok runs + malformed + long checkpointed ----
   std::map<std::string, std::string> expected;  // id -> expected outcome
@@ -449,7 +461,8 @@ int run_kill9(const std::string& daemon_bin, const std::string& client_bin,
     std::error_code ec;
     std::filesystem::remove_all(workdir, ec);
   } else if (g_failures != 0) {
-    std::printf("chaos(kill9): work dir kept for inspection: %s\n", work);
+    std::printf("chaos(kill9): work dir kept for inspection: %s\n",
+                work.c_str());
   }
   if (g_failures != 0) {
     std::fprintf(stderr, "chaos(kill9): %d assertion(s) failed\n",
@@ -504,10 +517,8 @@ int main(int argc, char** argv) {
     return run_kill9(daemon_bin, client_bin, requests, workers, keep);
   }
 
-  char work_template[] = "/tmp/deft_chaos_XXXXXX";
-  const char* work = mkdtemp(work_template);
-  if (work == nullptr) {
-    std::perror("mkdtemp");
+  const std::string work = make_work_dir();
+  if (work.empty()) {
     return 1;
   }
   const std::filesystem::path workdir(work);
@@ -516,7 +527,7 @@ int main(int argc, char** argv) {
   const std::filesystem::path results = workdir / "results.jsonl";
   const std::filesystem::path manifest = workdir / "manifest.txt";
   std::filesystem::create_directories(stage);
-  std::printf("chaos: work dir %s\n", work);
+  std::printf("chaos: work dir %s\n", work.c_str());
 
   // ---- generate the mixed campaign ------------------------------------
   // ~2% wedge + ~1% chaos + ~10% malformed + 1 oversized; rest valid.
@@ -754,7 +765,7 @@ int main(int argc, char** argv) {
     std::error_code ec;
     std::filesystem::remove_all(workdir, ec);
   } else if (g_failures != 0) {
-    std::printf("chaos: work dir kept for inspection: %s\n", work);
+    std::printf("chaos: work dir kept for inspection: %s\n", work.c_str());
   }
   if (g_failures != 0) {
     std::fprintf(stderr, "chaos: %d assertion(s) failed\n", g_failures);
