@@ -6,9 +6,10 @@
 //   $ ./deft_sim --shards 4 config.cfg   # partitioned core on 4 threads
 //   $ ./deft_sim --dump-default > a.cfg  # start from a template
 //
-// The configuration format is documented in src/core/config_file.hpp.
-// `--shards N` overrides the config's `shards` key (results are
-// bit-identical for every shard count).
+// `--dump-default` prints every config key at its default with a one-line
+// doc; the format rules are in src/core/config_file.hpp. `--shards N`
+// overrides the config's `shards` key, with that key's range check
+// (results are bit-identical for every shard count).
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -18,29 +19,6 @@
 #include "topology/builder.hpp"
 
 namespace {
-
-constexpr const char* kDefaultConfig = R"(# deft_sim configuration
-chiplets   = 4          # 4 or 6 (the paper's reference systems)
-algorithm  = deft       # deft | mtr | rc
-vl_strategy = table     # table | distance | random (DeFT only)
-traffic    = uniform    # uniform | localized | hotspot | transpose |
-                        # bit-complement | trace (see trace_file below)
-rate       = 0.008      # packets/cycle/core
-vcs        = 2
-buffer_depth = 4
-packet_size  = 8
-vl_serialization = 1    # >1 models serialized (narrower) vertical links
-warmup     = 10000
-measure    = 30000
-drain_max  = 100000
-seed       = 1
-shards     = 1          # worker threads of the partitioned core
-faults     =            # e.g.: 0v 3^ 12v  (<vl>v = down half, <vl>^ = up)
-fault_events =          # mid-run events, e.g.: 15000:2v 25000:2v:repair
-fault_policy = drop     # drop | reroute (in-flight packets on a fail event)
-trace_file =            # traffic = trace: replay this `cycle src dst app` file
-trace_cycles =          # ... or record a uniform workload over N cycles
-)";
 
 /// Runs `config` and prints its report; returns the exit status (2 on a
 /// detected deadlock).
@@ -118,36 +96,33 @@ int simulate(const deft::SimulationConfig& config) {
 
 int main(int argc, char** argv) {
   using namespace deft;
-  const char* config_path = nullptr;
-  int shards_override = 0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--dump-default") == 0) {
-      std::fputs(kDefaultConfig, stdout);
-      return 0;
-    }
-    if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-      shards_override = std::atoi(argv[++i]);  // validated below
-      continue;
-    }
-    config_path = argv[i];
-  }
-
-  // Every failure - a bad config, an unreadable trace_file, a fault list
-  // the topology rejects - is reported on stderr with exit status 1.
+  // Every failure - a bad option or config, an unreadable trace_file, a
+  // fault list the topology rejects - is reported on stderr with exit
+  // status 1.
   try {
+    const char* config_path = nullptr;
+    const char* shards = nullptr;
+    for (int i = 1; i < argc; ++i) {
+      if (std::strcmp(argv[i], "--dump-default") == 0) {
+        std::fputs(config_template().c_str(), stdout);
+        return 0;
+      }
+      if (std::strcmp(argv[i], "--shards") == 0) {
+        require(i + 1 < argc && *argv[i + 1] != '\0',
+                "--shards needs a value");
+        shards = argv[++i];
+        continue;
+      }
+      config_path = argv[i];
+    }
     SimulationConfig config;
     if (config_path != nullptr) {
       std::ifstream file(config_path);
       require(file.good(), std::string("cannot open ") + config_path);
       config = parse_simulation_config(file);
-    } else {
-      config = parse_simulation_config(std::string(kDefaultConfig));
     }
-    if (shards_override != 0) {
-      require(shards_override >= 1 && shards_override <= kMaxSimShards,
-              "--shards must be in [1, " + std::to_string(kMaxSimShards) +
-                  "]");
-      config.knobs.shards = shards_override;
+    if (shards != nullptr) {
+      apply_config_line(config, {0, "shards", shards});
     }
     return simulate(config);
   } catch (const std::exception& e) {

@@ -1,9 +1,15 @@
 #include "core/config_file.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <fstream>
+#include <functional>
 #include <istream>
 #include <limits>
 #include <sstream>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "traffic/trace.hpp"
 
@@ -53,9 +59,13 @@ double parse_double(const std::string& key, const std::string& value,
   return parsed;
 }
 
-/// Rethrows `e` as "config: line N: <what>", dropping a leading
-/// "config: " from the inner message so the prefix never doubles up.
+/// Rethrows `e`, the exception being handled, as "config: line N: <what>",
+/// dropping a leading "config: " from the inner message so the prefix
+/// never doubles up. Without a line (0) `e` is rethrown as it is.
 [[noreturn]] void rethrow_with_line(int line_no, const std::exception& e) {
+  if (line_no <= 0) {
+    throw;
+  }
   std::string what = e.what();
   constexpr const char* kPrefix = "config: ";
   if (what.rfind(kPrefix, 0) == 0) {
@@ -63,6 +73,147 @@ double parse_double(const std::string& key, const std::string& value,
   }
   throw std::invalid_argument("config: line " + std::to_string(line_no) +
                               ": " + what);
+}
+
+/// One config key: its name, a one-line doc, how a line's value is parsed
+/// into a SimulationConfig, and how a config's setting prints back as a
+/// value ("" = unset).
+struct ConfigKey {
+  std::string name;
+  std::string doc;
+  std::function<void(SimulationConfig&, const ConfigLine&)> parse;
+  std::function<std::string(const SimulationConfig&)> print;
+};
+
+/// A key's field in a config: a member of the config itself or of its
+/// knobs.
+template <typename Config, typename T>
+auto& at(Config& config, T SimulationConfig::*field) {
+  return config.*field;
+}
+template <typename Config, typename T>
+auto& at(Config& config, T SimKnobs::*field) {
+  return config.knobs.*field;
+}
+
+/// A key whose value `parse` converts into `field`, and whose setting
+/// `print` turns back into text.
+template <typename Part, typename T, typename Parse, typename Print>
+ConfigKey field_key(std::string name, T Part::*field, Parse parse,
+                    Print print, std::string doc) {
+  return {std::move(name), std::move(doc),
+          [=](SimulationConfig& c, const ConfigLine& line) {
+            at(c, field) = parse(line.value);
+          },
+          [=](const SimulationConfig& c) {
+            return std::string(print(at(c, field)));
+          }};
+}
+
+/// An integer or number key in [lo, hi], printed as the shortest text that
+/// parses back to the same value. Zero prints empty: trace_cycles = 0
+/// means unset.
+template <typename Part, typename T>
+ConfigKey ranged(const std::string& name, T Part::*field, long lo, long hi,
+                 std::string doc) {
+  return field_key(
+      name, field,
+      [=](const std::string& value) {
+        if constexpr (std::is_integral_v<T>) {
+          return static_cast<T>(parse_int(name, value, lo, hi));
+        } else {
+          return parse_double(name, value, lo, hi);
+        }
+      },
+      [](T setting) {
+        char buf[32];
+        char* end = std::to_chars(buf, buf + sizeof(buf), setting).ptr;
+        return setting == T{} ? std::string() : std::string(buf, end);
+      },
+      std::move(doc));
+}
+
+/// A key spelled `a` or `b`.
+template <typename Part, typename T>
+ConfigKey named(const std::string& name, T Part::*field,
+                std::pair<std::string, T> a, std::pair<std::string, T> b,
+                std::string doc) {
+  return field_key(
+      name, field,
+      [=](const std::string& value) {
+        require(value == a.first || value == b.first,
+                "config: key '" + name + "' must be " + a.first + " or " +
+                    b.first + ", got '" + value + "'");
+        return value == a.first ? a.second : b.second;
+      },
+      [=](T setting) { return setting == a.second ? a.first : b.first; },
+      std::move(doc));
+}
+
+/// A fault list, resolved against the topology after parsing; `line`
+/// records its source line so that resolution errors keep it.
+ConfigKey fault_list(std::string name, std::string SimulationConfig::*field,
+                     int SimulationConfig::*line, std::string doc) {
+  return {std::move(name), std::move(doc),
+          [=](SimulationConfig& c, const ConfigLine& l) {
+            c.*field = l.value;
+            c.*line = l.number;
+          },
+          [=](const SimulationConfig& c) { return c.*field; }};
+}
+
+/// Every config key, in template order. This is the only place a key is
+/// declared.
+const std::vector<ConfigKey>& config_keys() {
+  using C = SimulationConfig;
+  using K = SimKnobs;
+  static const std::vector<ConfigKey> keys = {
+      named("chiplets", &C::chiplets, {"4", 4}, {"6", 6},
+            "4 | 6 (the paper's reference systems)"),
+      field_key("algorithm", &C::algorithm, parse_algorithm, algorithm_name,
+                "deft | mtr | rc (any case)"),
+      field_key("vl_strategy", &C::vl_strategy, parse_vl_strategy,
+                vl_strategy_name, "table | distance | random (DeFT only)"),
+      field_key(
+          "traffic", &C::traffic,
+          [](const std::string& value) {
+            require(value == "trace" || is_traffic_pattern(value),
+                    "config: unknown traffic pattern '" + value + "'");
+            return value;
+          },
+          std::identity(),
+          "uniform | localized | hotspot | transpose | bit-complement | trace"),
+      ranged("rate", &C::rate, 0, 1, "packets/cycle/core"),
+      ranged("vcs", &K::num_vcs, 1, 4, "virtual channels per port"),
+      ranged("buffer_depth", &K::buffer_depth, 1, 8, "flits per VC buffer"),
+      ranged("packet_size", &K::packet_size, 1, 64, "flits per packet"),
+      ranged("vl_serialization", &K::vl_serialization, 1, 32,
+             ">1 models serialized (narrower) vertical links"),
+      ranged("warmup", &K::warmup, 0, 100'000'000, "cycles before measuring"),
+      ranged("measure", &K::measure, 1, 100'000'000, "measured cycles"),
+      ranged("drain_max", &K::drain_max, 0, 100'000'000,
+             "most cycles spent draining after measure"),
+      ranged("seed", &K::seed, 0, std::numeric_limits<long>::max(),
+             "seeds traffic and routing randomness"),
+      ranged("shards", &K::shards, 1, kMaxSimShards,
+             "worker threads of the partitioned core"),
+      named("rng_mode", &K::rng_mode, {"serial", RngMode::serial},
+            {"counter", RngMode::counter},
+            "serial | counter (per-NI route streams)"),
+      fault_list("faults", &C::fault_spec, &C::fault_spec_line,
+                 "faulty VL channels, e.g. 0v 3^ (<vl>v = down, <vl>^ = up)"),
+      fault_list("fault_events", &C::fault_events_spec, &C::fault_events_line,
+                 "mid-run events, e.g. 15000:2v 25000:2v:repair"),
+      named("fault_policy", &C::fault_policy, {"drop", InFlightPolicy::drop},
+            {"reroute", InFlightPolicy::reroute},
+            "drop | reroute (in-flight packets on a fail event)"),
+      field_key("trace_file", &C::trace_file, std::identity(),
+                std::identity(),
+                "traffic = trace: replay this `cycle src dst app` file"),
+      ranged("trace_cycles", &C::trace_cycles, 1, 100'000'000,
+             "... or record uniform traffic at `rate` for N cycles"),
+  };
+  return keys;
 }
 
 }  // namespace
@@ -85,10 +236,7 @@ VlFaultSet SimulationConfig::faults(const Topology& topo) const {
     }
     return set;
   } catch (const std::exception& e) {
-    if (fault_spec_line > 0) {
-      rethrow_with_line(fault_spec_line, e);
-    }
-    throw;
+    rethrow_with_line(fault_spec_line, e);
   }
 }
 
@@ -99,10 +247,7 @@ FaultTimeline SimulationConfig::fault_events(const Topology& topo) const {
   try {
     return FaultTimeline::parse(fault_events_spec, topo);
   } catch (const std::exception& e) {
-    if (fault_events_line > 0) {
-      rethrow_with_line(fault_events_line, e);
-    }
-    throw;
+    rethrow_with_line(fault_events_line, e);
   }
 }
 
@@ -124,106 +269,45 @@ std::unique_ptr<TrafficGenerator> SimulationConfig::make_traffic(
       record_uniform_trace(topo, rate, trace_cycles));
 }
 
+bool next_config_line(std::istream& in, ConfigLine& line) {
+  std::string text;
+  while (std::getline(in, text)) {
+    ++line.number;
+    text = trim(text.substr(0, text.find('#')));
+    if (text.empty()) {
+      continue;
+    }
+    const auto eq = text.find('=');
+    require(eq != std::string::npos, "config: line " +
+                                         std::to_string(line.number) +
+                                         " is not 'key = value'");
+    line.key = trim(text.substr(0, eq));
+    line.value = trim(text.substr(eq + 1));
+    require(!line.key.empty(),
+            "config: empty key on line " + std::to_string(line.number));
+    return true;
+  }
+  return false;
+}
+
+void apply_config_line(SimulationConfig& config, const ConfigLine& line) {
+  try {
+    const std::vector<ConfigKey>& keys = config_keys();
+    const auto key = std::ranges::find(keys, line.key, &ConfigKey::name);
+    require(key != keys.end(), "config: unknown key '" + line.key + "'");
+    if (!line.value.empty()) {
+      key->parse(config, line);
+    }
+  } catch (const std::exception& e) {
+    rethrow_with_line(line.number, e);
+  }
+}
+
 SimulationConfig parse_simulation_config(std::istream& in) {
   SimulationConfig config;
-  std::string line;
-  int line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    const auto comment = line.find('#');
-    if (comment != std::string::npos) {
-      line.resize(comment);
-    }
-    const std::string trimmed = trim(line);
-    if (trimmed.empty()) {
-      continue;
-    }
-    const auto eq = trimmed.find('=');
-    require(eq != std::string::npos, "config: line " +
-                                         std::to_string(line_no) +
-                                         " is not 'key = value'");
-    const std::string key = trim(trimmed.substr(0, eq));
-    const std::string value = trim(trimmed.substr(eq + 1));
-    require(!key.empty(),
-            "config: empty key on line " + std::to_string(line_no));
-    if (value.empty()) {
-      // An empty value means "keep the default" (it lets templates list
-      // optional keys like `faults =`).
-      continue;
-    }
-
-    try {
-    if (key == "chiplets") {
-      require(value == "4" || value == "6",
-              "config: key 'chiplets' must be 4 or 6, got '" + value + "'");
-      config.chiplets = std::stoi(value);
-    } else if (key == "algorithm") {
-      config.algorithm = parse_algorithm(value);
-    } else if (key == "vl_strategy") {
-      config.vl_strategy = parse_vl_strategy(value);
-    } else if (key == "traffic") {
-      require(value == "trace" || is_traffic_pattern(value),
-              "config: unknown traffic pattern '" + value + "'");
-      config.traffic = value;
-    } else if (key == "rate") {
-      config.rate = parse_double(key, value, 0.0, 1.0);
-    } else if (key == "vcs") {
-      config.knobs.num_vcs = static_cast<int>(parse_int(key, value, 1, 4));
-    } else if (key == "buffer_depth") {
-      config.knobs.buffer_depth =
-          static_cast<int>(parse_int(key, value, 1, 8));
-    } else if (key == "packet_size") {
-      config.knobs.packet_size =
-          static_cast<int>(parse_int(key, value, 1, 64));
-    } else if (key == "vl_serialization") {
-      config.knobs.vl_serialization =
-          static_cast<int>(parse_int(key, value, 1, 32));
-    } else if (key == "warmup") {
-      config.knobs.warmup = parse_int(key, value, 0, 100'000'000);
-    } else if (key == "measure") {
-      config.knobs.measure = parse_int(key, value, 1, 100'000'000);
-    } else if (key == "drain_max") {
-      config.knobs.drain_max = parse_int(key, value, 0, 100'000'000);
-    } else if (key == "seed") {
-      config.knobs.seed = static_cast<std::uint64_t>(
-          parse_int(key, value, 0, std::numeric_limits<long>::max()));
-    } else if (key == "faults") {
-      config.fault_spec = value;
-      config.fault_spec_line = line_no;
-    } else if (key == "fault_events") {
-      config.fault_events_spec = value;
-      config.fault_events_line = line_no;
-    } else if (key == "fault_policy") {
-      if (value == "drop") {
-        config.fault_policy = InFlightPolicy::drop;
-      } else if (value == "reroute") {
-        config.fault_policy = InFlightPolicy::reroute;
-      } else {
-        require(false, "config: fault_policy must be drop or reroute, got '" +
-                           value + "'");
-      }
-    } else if (key == "shards") {
-      config.knobs.shards =
-          static_cast<int>(parse_int(key, value, 1, kMaxSimShards));
-    } else if (key == "rng_mode") {
-      if (value == "serial") {
-        config.knobs.rng_mode = RngMode::serial;
-      } else if (value == "counter") {
-        config.knobs.rng_mode = RngMode::counter;
-      } else {
-        require(false, "config: rng_mode must be serial or counter, got '" +
-                           value + "'");
-      }
-    } else if (key == "trace_file") {
-      config.trace_file = value;
-    } else if (key == "trace_cycles") {
-      config.trace_cycles = parse_int(key, value, 1, 100'000'000);
-    } else {
-      require(false, "config: unknown key '" + key + "'");
-    }
-    } catch (const std::exception& e) {
-      rethrow_with_line(line_no, e);
-    }
+  ConfigLine line;
+  while (next_config_line(in, line)) {
+    apply_config_line(config, line);
   }
   return config;
 }
@@ -231,6 +315,19 @@ SimulationConfig parse_simulation_config(std::istream& in) {
 SimulationConfig parse_simulation_config(const std::string& text) {
   std::istringstream in(text);
   return parse_simulation_config(in);
+}
+
+std::string config_template() {
+  const SimulationConfig defaults;
+  std::string text =
+      "# deft_sim configuration: every key at its default. `#` starts a\n"
+      "# comment, and an empty value keeps the default.\n";
+  for (const ConfigKey& key : config_keys()) {
+    std::string line = key.name + " = " + key.print(defaults);
+    line.resize(std::max<std::size_t>(line.size() + 1, 22), ' ');
+    text += line + "# " + key.doc + "\n";
+  }
+  return text;
 }
 
 }  // namespace deft

@@ -1,41 +1,20 @@
-// Minimal key=value configuration files for the CLI simulation driver.
+// Minimal key=value configuration files for the CLI simulation driver and
+// the campaign service's spool requests.
 //
-// Format: one `key = value` per line; `#` starts a comment; whitespace is
-// ignored. Unknown keys are an error (typos should not silently fall back
-// to defaults).
+// Format: one `key = value` per line; `#` starts a comment; whitespace
+// around keys and values is ignored. An empty value keeps the key's
+// default, so a template can list optional keys as `faults =`. Unknown
+// keys are an error (typos should not silently fall back to defaults),
+// and every error names its source line.
 //
-//   # 4-chiplet reference system, DeFT, uniform traffic
-//   chiplets   = 4           # 4 | 6 (the paper's reference systems)
-//   algorithm  = deft        # deft | mtr | rc
-//   traffic    = uniform     # uniform | localized | hotspot | transpose |
-//                            # bit-complement | trace
-//   rate       = 0.008       # packets/cycle/core
-//   vcs        = 2
-//   buffer_depth = 4
-//   packet_size  = 8
-//   warmup     = 10000
-//   measure    = 30000
-//   seed       = 1
-//   shards     = 1           # worker threads of the partitioned core
-//   rng_mode   = serial      # serial | counter (per-NI route streams)
-//   vl_strategy = table      # table | distance | random (DeFT only)
-//   faults     = 0v 3^       # faulty VL channels: <vl>v (down) / <vl>^ (up)
-//   vl_serialization = 1
-//
-// Dynamic fault events (fault/scenario.hpp's FaultTimeline syntax) layer
-// mid-run link failures and repairs on top of `faults`:
-//   fault_events = 1000:2v 3000:2v:repair   # CYCLE:<vl>v|^[:fail|:repair]
-//   fault_policy = drop      # drop | reroute (in-flight resolution)
-//
-// Trace-replay workloads (`traffic = trace`) come from one of:
-//   trace_file   = path/to.trace   # `cycle src dst app` lines (trace.hpp)
-//   trace_cycles = 11000           # or: record a uniform workload at
-//                                  # `rate` over that many cycles and
-//                                  # replay it (record_uniform_trace)
+// Each key is declared once, in the key table in config_file.cpp: its
+// name, a one-line doc, its parser and its printer. config_template()
+// prints every key at its default with its doc, and
+// `example_deft_sim --dump-default` writes it out as the template to
+// start a config from.
 #pragma once
 
 #include <iosfwd>
-#include <map>
 #include <string>
 
 #include "core/runner.hpp"
@@ -79,6 +58,25 @@ struct SimulationConfig {
   std::unique_ptr<TrafficGenerator> make_traffic(const Topology& topo) const;
 };
 
+/// One `key = value` line of a config text, comment stripped and trimmed.
+struct ConfigLine {
+  int number = 0;  ///< 1-based source line; 0 = not from a file
+  std::string key;
+  std::string value;  ///< may be empty
+};
+
+/// Reads the next non-blank line of a config text into `line`, advancing
+/// `line.number` past every line read (start it at 0). Returns false at
+/// the end of the text. A line without `=` or with an empty key throws
+/// std::invalid_argument naming its line; reading can go on after it.
+bool next_config_line(std::istream& in, ConfigLine& line);
+
+/// Applies one line to `config` through the key table; an empty value
+/// keeps the current setting. Throws std::invalid_argument on an unknown
+/// key or a bad value, prefixed "config: line N: " when `line.number` is
+/// set.
+void apply_config_line(SimulationConfig& config, const ConfigLine& line);
+
 /// Parses `key = value` lines. Throws std::invalid_argument on malformed
 /// lines, unknown keys, or out-of-range values (a system size other than
 /// 4 or 6 chiplets, an unknown traffic pattern); every message is
@@ -88,5 +86,9 @@ SimulationConfig parse_simulation_config(std::istream& in);
 
 /// Convenience: parse from a string.
 SimulationConfig parse_simulation_config(const std::string& text);
+
+/// A config text that sets every key in the key table to its default,
+/// one line per key with the key's doc as a comment.
+std::string config_template();
 
 }  // namespace deft

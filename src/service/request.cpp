@@ -7,87 +7,18 @@ namespace deft {
 
 namespace {
 
-/// Most errors a single request is allowed to report; masking-and-
-/// reparsing is linear per error, so this caps validation at a constant
-/// number of passes.
-constexpr int kMaxErrors = 5;
+/// Most errors one rejection row lists: validation stops reading a
+/// request at its fifth bad line.
+constexpr std::size_t kMaxErrors = 5;
 
-/// Extracts the "config: line N: ..." line number from a parse error
-/// message; 0 when the message carries no line.
-int error_line(const std::string& what) {
-  constexpr const char* kPrefix = "config: line ";
-  if (what.rfind(kPrefix, 0) != 0) {
-    return 0;
-  }
-  int line = 0;
-  if (std::sscanf(what.c_str() + std::string(kPrefix).size(), "%d",
-                  &line) != 1) {
-    return 0;
-  }
-  return line;
-}
-
-/// Splits into lines (without terminators), preserving line numbering.
-std::vector<std::string> split_lines(const std::string& text) {
-  std::vector<std::string> lines;
-  std::istringstream in(text);
-  std::string line;
-  while (std::getline(in, line)) {
-    lines.push_back(line);
-  }
-  return lines;
-}
-
-std::string join_lines(const std::vector<std::string>& lines) {
-  std::string text;
-  for (const std::string& line : lines) {
-    text += line;
-    text += '\n';
-  }
-  return text;
-}
-
-/// Strips service-level "x_*" keys out of the line set (they are not part
-/// of the core config grammar), recording their effects on `out`. The
-/// stripped lines are blanked in place so every later error keeps its
-/// original line number.
-void extract_service_keys(std::vector<std::string>& lines,
-                          ValidatedRequest& out) {
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    std::string stripped = lines[i];
-    const auto comment = stripped.find('#');
-    if (comment != std::string::npos) {
-      stripped.resize(comment);
-    }
-    const auto eq = stripped.find('=');
-    if (eq == std::string::npos) {
-      continue;
-    }
-    auto trim = [](std::string s) {
-      const auto b = s.find_first_not_of(" \t\r");
-      if (b == std::string::npos) {
-        return std::string();
-      }
-      const auto e = s.find_last_not_of(" \t\r");
-      return s.substr(b, e - b + 1);
-    };
-    const std::string key = trim(stripped.substr(0, eq));
-    if (key.rfind("x_", 0) != 0) {
-      continue;
-    }
-    const std::string value = trim(stripped.substr(eq + 1));
-    const int line_no = static_cast<int>(i) + 1;
-    if (key == "x_chaos") {
-      if (value == "throw") {
-        out.chaos = ChaosMode::throw_in_worker;
-      } else if (!value.empty()) {
-        out.errors.push_back(
-            {line_no, "x_chaos must be 'throw', got '" + value + "'"});
-      }
-    } else {
-      out.errors.push_back({line_no, "unknown service key '" + key + "'"});
-    }
-    lines[i].clear();
+/// Applies a service-level `x_` key (they are not part of the core config
+/// grammar) to `out`; throws on an unknown key or value.
+void apply_service_key(const ConfigLine& line, ValidatedRequest& out) {
+  require(line.key == "x_chaos", "unknown service key '" + line.key + "'");
+  require(line.value.empty() || line.value == "throw",
+          "x_chaos must be 'throw', got '" + line.value + "'");
+  if (line.value == "throw") {
+    out.chaos = ChaosMode::throw_in_worker;
   }
 }
 
@@ -103,24 +34,22 @@ ValidatedRequest validate_request(const std::string& text,
     return out;  // oversized input is not handed to the parser at all
   }
 
-  std::vector<std::string> lines = split_lines(text);
-  extract_service_keys(lines, out);
-
-  // Collect several parse errors, not just the first: each failing parse
-  // reports one line-numbered error; blank that line and re-parse. A
-  // message without a line number ends the loop (nothing to mask).
-  while (static_cast<int>(out.errors.size()) < kMaxErrors) {
+  // One pass in line order: a bad line's error is recorded under its
+  // number, and reading goes on with the next line.
+  std::istringstream in(text);
+  ConfigLine line;
+  while (out.errors.size() < kMaxErrors) {
     try {
-      out.config = parse_simulation_config(join_lines(lines));
-      break;
-    } catch (const std::exception& e) {
-      const std::string what = e.what();
-      const int line = error_line(what);
-      out.errors.push_back({line, what});
-      if (line <= 0 || line > static_cast<int>(lines.size())) {
+      if (!next_config_line(in, line)) {
         break;
       }
-      lines[static_cast<std::size_t>(line) - 1].clear();
+      if (line.key.starts_with("x_")) {
+        apply_service_key(line, out);
+      } else {
+        apply_config_line(out.config, line);
+      }
+    } catch (const std::exception& e) {
+      out.errors.push_back({line.number, e.what()});
     }
   }
   if (!out.ok()) {

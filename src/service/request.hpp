@@ -72,12 +72,11 @@ struct ValidatedRequest {
   bool ok() const { return errors.empty(); }
 };
 
-/// Parses and validates request text against the budget. Collects
-/// multiple per-line errors by masking each offending line and re-parsing
-/// (capped, so a hostile request cannot spin the validator). Topology-
-/// dependent checks (fault channel ranges, trace files) are deferred to
-/// the worker's prepare stage, which maps their failures to `rejected`
-/// as well.
+/// Parses and validates request text against the budget. Reads the
+/// request once, in line order, and records each bad line's error under
+/// its line number, up to a small cap. Topology-dependent checks (fault
+/// channel ranges, trace files) are deferred to the worker's prepare
+/// stage, which maps their failures to `rejected` as well.
 ValidatedRequest validate_request(const std::string& text,
                                   const RunBudget& budget);
 

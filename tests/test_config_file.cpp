@@ -1,8 +1,10 @@
 // Configuration-file parser tests and VL-serialization knob tests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 
 #include "core/config_file.hpp"
 #include "topology/builder.hpp"
@@ -94,6 +96,13 @@ TEST(ConfigFile, RejectsUnknownKeys) {
               std::string::npos)
         << message;
   }
+  // An empty value keeps a known key's default; an unknown key is an
+  // error with or without a value.
+  const std::string empty = thrown_message(
+      [] { parse_simulation_config(std::string("typo_key =\n")); });
+  EXPECT_NE(empty.find("config: line 1: unknown key 'typo_key'"),
+            std::string::npos)
+      << empty;
 }
 
 TEST(ConfigFile, RejectsMalformedLines) {
@@ -112,6 +121,53 @@ TEST(ConfigFile, EmptyValueKeepsDefault) {
       parse_simulation_config(std::string("faults =\nrate =  # comment\n"));
   EXPECT_TRUE(c.fault_spec.empty());
   EXPECT_DOUBLE_EQ(c.rate, 0.008);
+}
+
+TEST(ConfigFile, TemplateParsesToTheDefaults) {
+  // `example_deft_sim --dump-default` prints config_template(): it names
+  // every key exactly once and parses back to the defaults.
+  const std::string text = config_template();
+  std::istringstream in(text);
+  std::vector<std::string> keys;
+  ConfigLine line;
+  while (next_config_line(in, line)) {
+    keys.push_back(line.key);
+  }
+  std::vector<std::string> expected = {
+      "chiplets", "algorithm", "vl_strategy", "traffic", "rate", "vcs",
+      "buffer_depth", "packet_size", "vl_serialization", "warmup",
+      "measure", "drain_max", "seed", "shards", "rng_mode", "faults",
+      "fault_events", "fault_policy", "trace_file", "trace_cycles"};
+  std::ranges::sort(keys);
+  std::ranges::sort(expected);
+  EXPECT_EQ(keys, expected) << text;
+
+  const SimulationConfig c = parse_simulation_config(text);
+  const SimulationConfig d;
+  EXPECT_EQ(c.chiplets, d.chiplets);
+  EXPECT_EQ(c.algorithm, d.algorithm);
+  EXPECT_EQ(c.vl_strategy, d.vl_strategy);
+  EXPECT_EQ(c.traffic, d.traffic);
+  EXPECT_EQ(c.rate, d.rate);
+  EXPECT_EQ(c.knobs.num_vcs, d.knobs.num_vcs);
+  EXPECT_EQ(c.knobs.buffer_depth, d.knobs.buffer_depth);
+  EXPECT_EQ(c.knobs.packet_size, d.knobs.packet_size);
+  EXPECT_EQ(c.knobs.vl_serialization, d.knobs.vl_serialization);
+  EXPECT_EQ(c.knobs.warmup, d.knobs.warmup);
+  EXPECT_EQ(c.knobs.measure, d.knobs.measure);
+  EXPECT_EQ(c.knobs.drain_max, d.knobs.drain_max);
+  EXPECT_EQ(c.knobs.watchdog_cycles, d.knobs.watchdog_cycles);
+  EXPECT_EQ(c.knobs.seed, d.knobs.seed);
+  EXPECT_EQ(c.knobs.core, d.knobs.core);
+  EXPECT_EQ(c.knobs.shards, d.knobs.shards);
+  EXPECT_EQ(c.knobs.rng_mode, d.knobs.rng_mode);
+  EXPECT_EQ(c.fault_spec, d.fault_spec);
+  EXPECT_EQ(c.fault_events_spec, d.fault_events_spec);
+  EXPECT_EQ(c.fault_policy, d.fault_policy);
+  EXPECT_EQ(c.fault_spec_line, d.fault_spec_line);
+  EXPECT_EQ(c.fault_events_line, d.fault_events_line);
+  EXPECT_EQ(c.trace_file, d.trace_file);
+  EXPECT_EQ(c.trace_cycles, d.trace_cycles);
 }
 
 TEST(ConfigFile, RejectsBadFaultSpecs) {

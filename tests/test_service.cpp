@@ -73,8 +73,8 @@ TEST(ValidateRequest, AcceptsAWellFormedConfig) {
 }
 
 TEST(ValidateRequest, ReportsEveryBadLineWithItsNumber) {
-  // Line 2 and line 4 are independently malformed; the validator masks
-  // each offender and re-parses, so both must be reported.
+  // Line 2 and line 4 are independently malformed; the validator reads
+  // on past each bad line, so both must be reported.
   const std::string text =
       "chiplets = 4\n"
       "algorithn = deft\n"
@@ -86,6 +86,20 @@ TEST(ValidateRequest, ReportsEveryBadLineWithItsNumber) {
   EXPECT_NE(v.errors[0].message.find("unknown key"), std::string::npos);
   EXPECT_EQ(v.errors[1].line, 4);
   EXPECT_NE(v.errors[1].message.find("integer"), std::string::npos);
+
+  // An empty key and a line without `=` are bad lines like any other.
+  const ValidatedRequest w = validate_request(
+      "= 3\nbogus = 1\nchiplets 4\nrate = fast\n", RunBudget{});
+  ASSERT_EQ(w.errors.size(), 4u);
+  EXPECT_EQ(w.errors[0].line, 1);
+  EXPECT_EQ(w.errors[0].message, "config: empty key on line 1");
+  EXPECT_EQ(w.errors[1].line, 2);
+  EXPECT_EQ(w.errors[1].message, "config: line 2: unknown key 'bogus'");
+  EXPECT_EQ(w.errors[2].line, 3);
+  EXPECT_EQ(w.errors[2].message, "config: line 3 is not 'key = value'");
+  EXPECT_EQ(w.errors[3].line, 4);
+  EXPECT_EQ(w.errors[3].message,
+            "config: line 4: key 'rate' expects a number, got 'fast'");
 }
 
 TEST(ValidateRequest, ReportsUnknownSystemsAndTrafficWithTheirLines) {
@@ -112,7 +126,20 @@ TEST(ValidateRequest, ErrorCollectionIsCapped) {
   }
   const ValidatedRequest v = validate_request(text, RunBudget{});
   EXPECT_FALSE(v.ok());
-  EXPECT_LE(v.errors.size(), 6u);  // cap + one "further errors" marker
+  EXPECT_LE(v.errors.size(), 6u);
+
+  // Service keys count against the same cap: 3,000 unknown `x_` keys
+  // (35 KB, under the request size limit) give the first five errors.
+  std::string service;
+  for (int i = 0; i < 3000; ++i) {
+    service += "x_k" + std::to_string(i) + " = 1\n";
+  }
+  ASSERT_LT(service.size(), RunBudget{}.max_request_bytes);
+  const ValidatedRequest s = validate_request(service, RunBudget{});
+  ASSERT_EQ(s.errors.size(), 5u);
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_EQ(s.errors[static_cast<std::size_t>(i)].line, i + 1);
+  }
 }
 
 TEST(ValidateRequest, RejectsOversizedRequestsUnparsed) {
@@ -150,6 +177,16 @@ TEST(ValidateRequest, RejectsUnknownServiceKeys) {
   ASSERT_EQ(v.errors.size(), 1u);
   EXPECT_EQ(v.errors[0].line, 8);
   EXPECT_NE(v.errors[0].message.find("x_priority"), std::string::npos);
+}
+
+TEST(ValidateRequest, ServiceAndCoreErrorsComeInLineOrder) {
+  const ValidatedRequest v =
+      validate_request("bogus = 1\nx_bad = 2\n", RunBudget{});
+  ASSERT_EQ(v.errors.size(), 2u);
+  EXPECT_EQ(v.errors[0].line, 1);
+  EXPECT_EQ(v.errors[0].message, "config: line 1: unknown key 'bogus'");
+  EXPECT_EQ(v.errors[1].line, 2);
+  EXPECT_EQ(v.errors[1].message, "unknown service key 'x_bad'");
 }
 
 TEST(ValidateRequest, RejectsRequestsWhoseCoreCyclesExceedTheBudget) {
