@@ -33,7 +33,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/simd.hpp"
 #include "core/experiment.hpp"
 #include "routing/cdg.hpp"
 #include "traffic/trace.hpp"
@@ -692,7 +691,7 @@ int run_perf_core(const std::string& json_path) {
                "\"reference-6\"], \"traffics\": [\"uniform\", \"hotspot\", "
                "\"trace\"], \"fault_counts\": [0, 2, 4], \"warmup\": %lld, "
                "\"measure\": %lld, \"drain_max\": %lld, \"repeats\": %d, "
-               "\"hardware_concurrency\": %u, \"simd_backend\": \"%s\", "
+               "\"hardware_concurrency\": %u, "
                "\"sweep_scenario\": {\"name\": \"%s\", \"points\": %zu, "
                "\"warmup\": %lld, \"measure\": %lld, \"drain_max\": %lld}, "
                "\"grid_scenarios\": {\"systems\": [\"grid-16\", "
@@ -705,8 +704,8 @@ int run_perf_core(const std::string& json_path) {
                static_cast<long long>(kPerfWarmup),
                static_cast<long long>(kPerfMeasure),
                static_cast<long long>(kPerfDrainMax), kPerfRepeats,
-               std::thread::hardware_concurrency(), simd::kBackendName,
-               kSweepScenario, sweep_ws.points,
+               std::thread::hardware_concurrency(), kSweepScenario,
+               sweep_ws.points,
                static_cast<long long>(sweep_knobs().warmup),
                static_cast<long long>(sweep_knobs().measure),
                static_cast<long long>(sweep_knobs().drain_max),

@@ -113,6 +113,9 @@ int main(int argc, char** argv) {
         shards = argv[++i];
         continue;
       }
+      require(config_path == nullptr,
+              std::string("one config path expected, got a second: ") +
+                  argv[i]);
       config_path = argv[i];
     }
     SimulationConfig config;

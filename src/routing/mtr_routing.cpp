@@ -5,8 +5,6 @@
 #include <bit>
 #include <deque>
 
-#include "common/simd.hpp"
-
 #include "routing/cdg.hpp"
 
 namespace deft {
@@ -70,54 +68,6 @@ void for_each_bit(const std::uint64_t* bits, std::size_t words, F&& f) {
       f(w * 64 + static_cast<std::size_t>(std::countr_zero(b)));
     }
   }
-}
-
-/// Shared credit-class winner tables: kWinnerK[c0][c1](..) is the index
-/// of the first maximum among K candidate credit classes - the bucketed
-/// form of "prefer the port with the most free downstream credits,
-/// first-in-successor-order wins ties". One table per candidate count,
-/// shared by every (line node, dst) entry; entries with more than three
-/// candidates (rare: a mesh router offers at most a handful of minimal
-/// continuations) fall back to the scan.
-constexpr auto kWinner2 = [] {
-  std::array<std::uint8_t, kCreditClasses * kCreditClasses> t{};
-  for (int a = 0; a < kCreditClasses; ++a) {
-    for (int b = 0; b < kCreditClasses; ++b) {
-      t[static_cast<std::size_t>(a * kCreditClasses + b)] = b > a ? 1 : 0;
-    }
-  }
-  return t;
-}();
-
-constexpr auto kWinner3 = [] {
-  std::array<std::uint8_t, kCreditClasses * kCreditClasses * kCreditClasses>
-      t{};
-  for (int a = 0; a < kCreditClasses; ++a) {
-    for (int b = 0; b < kCreditClasses; ++b) {
-      for (int c = 0; c < kCreditClasses; ++c) {
-        int winner = 0;
-        int best = a;
-        if (b > best) {
-          winner = 1;
-          best = b;
-        }
-        if (c > best) {
-          winner = 2;
-        }
-        t[static_cast<std::size_t>((a * kCreditClasses + b) * kCreditClasses +
-                                   c)] = static_cast<std::uint8_t>(winner);
-      }
-    }
-  }
-  return t;
-}();
-
-/// Credit class of one candidate port under `view`: the clamp is a no-op
-/// for the mesh/vertical ports MTR tie-breaks over (kMaxPortCredits bounds
-/// them), so bucketing never merges two distinct credit values.
-int credit_class(const RouterView& view, std::uint8_t port) {
-  const int credits = view.free_credits[port];
-  return credits > kMaxPortCredits ? kMaxPortCredits : credits;
 }
 
 }  // namespace
@@ -481,9 +431,9 @@ MtrPlan::MtrPlan(const Topology& topo) : topo_(&topo) {
       topo, [this](const Topology&, const Channel& in, const Channel& out) {
         return turn_allowed(in.id, out.id);
       });
+  build_route_tables();
   check(connectivity_preserved(),
         "MtrPlan: synthesis broke endpoint connectivity");
-  build_route_tables();
 }
 
 bool MtrPlan::turn_allowed(ChannelId in, ChannelId out) const {
@@ -496,29 +446,14 @@ bool MtrPlan::turn_allowed(ChannelId in, ChannelId out) const {
 
 bool MtrPlan::connectivity_preserved() const {
   // Every endpoint must reach every other endpoint inside the allowed-turn
-  // graph. One BFS per source endpoint over the line graph.
-  const LineGraph& graph = *line_graph_;
-  std::vector<char> seen;
-  std::deque<int> queue;
-  for (NodeId s : topo_->endpoints()) {
-    seen.assign(static_cast<std::size_t>(graph.size()), 0);
-    queue.clear();
-    const int start = graph.injection_node(s);
-    seen[static_cast<std::size_t>(start)] = 1;
-    queue.push_back(start);
-    while (!queue.empty()) {
-      const int cur = queue.front();
-      queue.pop_front();
-      for (int next : graph.successors(cur)) {
-        if (!seen[static_cast<std::size_t>(next)]) {
-          seen[static_cast<std::size_t>(next)] = 1;
-          queue.push_back(next);
-        }
-      }
-    }
-    for (NodeId d : topo_->endpoints()) {
-      if (d != s &&
-          !seen[static_cast<std::size_t>(graph.ejection_node(d))]) {
+  // graph: the reverse search from each ejection (build_route_tables)
+  // must have reached every other endpoint's injection.
+  const std::vector<NodeId>& endpoints = topo_->endpoints();
+  for (std::size_t d = 0; d < endpoints.size(); ++d) {
+    for (NodeId s : endpoints) {
+      if (s != endpoints[d] &&
+          dist_[d][static_cast<std::size_t>(line_graph_->injection_node(s))] ==
+              kUnreachable) {
         return false;
       }
     }
@@ -777,11 +712,10 @@ void MtrRouting::rebuild_route_cache() {
   // allowed-turn successor order, and fully resolve the decision whenever
   // it is credit-independent (ejection, or exactly one continuation).
   // route() then answers single-candidate hops straight from the entry
-  // and resolves multi-candidate hops through the shared credit-class
-  // winner tables, visiting candidates in the order the uncached scan did
-  // - the adaptive choices stay bit-identical. Rebuilt whenever
-  // set_faults() swaps the fault scenario (the distances the cache
-  // derives from change with the scenario).
+  // and scans the candidates of multi-candidate hops in the order the
+  // uncached successor scan visited them. Rebuilt whenever set_faults()
+  // swaps the fault scenario (the distances the cache derives from change
+  // with the scenario).
   const Topology& topo = plan_->topo();
   const LineGraph& graph = plan_->line_graph();
   const std::size_t n = static_cast<std::size_t>(graph.size());
@@ -790,16 +724,15 @@ void MtrRouting::rebuild_route_cache() {
   const VcMask vcs = all_vcs_mask(num_vcs_);
   for (std::size_t d = 0; d < endpoints.size(); ++d) {
     const NodeId dst = endpoints[d];
-    // The row scan is the rebuild's hot filter: most line nodes of most
-    // rows are 0 or kUnreachable and contribute no entry. The SIMD row
-    // kernel tests 8 distances at once against exactly the predicate the
-    // scalar branch used, and set bits are consumed in ascending line-node
-    // order - the order of the plain loop - so the built cache is
-    // byte-identical. `row` is the very storage dist() indexes, hence
-    // `here` below equals dist(l, dst).
+    // `row` is the very storage dist() indexes, so row[l] == dist(l, dst).
+    // Most line nodes of most rows are 0 or kUnreachable and get no entry.
     const std::uint16_t* row =
         fault_dist_.empty() ? plan_->distance_row(d) : fault_dist_.data() + d * n;
-    const auto build_entry = [&](std::size_t l, std::uint16_t here) {
+    for (std::size_t l = 0; l < n; ++l) {
+      const std::uint16_t here = row[l];
+      if (here == 0 || here == MtrPlan::kUnreachable) {
+        continue;
+      }
       RouteEntry& entry = route_cache_[d * n + l];
       entry.decision.vcs = vcs;
       for (int s : graph.successors_flat(static_cast<int>(l))) {
@@ -820,20 +753,6 @@ void MtrRouting::rebuild_route_cache() {
         entry.decision.out_port = Port::local;  // ejection node of dst
       } else if (entry.count == 1) {
         entry.decision.out_port = static_cast<Port>(entry.ports[0]);
-      }
-    };
-    std::size_t l = 0;
-    for (; l + 8 <= n; l += 8) {
-      for (std::uint32_t mask = simd::routable_mask8(row + l); mask != 0;
-           mask &= mask - 1) {
-        const std::size_t j = l + static_cast<std::size_t>(
-                                      std::countr_zero(mask));
-        build_entry(j, row[j]);
-      }
-    }
-    for (; l < n; ++l) {  // scalar tail: rows are rarely multiples of 8
-      if (row[l] != 0 && row[l] != MtrPlan::kUnreachable) {
-        build_entry(l, row[l]);
       }
     }
   }
@@ -878,30 +797,17 @@ RouteDecision MtrRouting::route(NodeId node, Port in_port, int in_vc,
 
   // Adaptive tie-break among the memoized minimal continuations: prefer
   // the port with the most free downstream credits, first in successor
-  // order on ties - table-driven over the candidates' credit classes.
-  RouteDecision decision = entry.decision;
-  int winner;
-  if (entry.count == 2) {
-    winner = kWinner2[static_cast<std::size_t>(
-        credit_class(view, entry.ports[0]) * kCreditClasses +
-        credit_class(view, entry.ports[1]))];
-  } else if (entry.count == 3) {
-    winner = kWinner3[static_cast<std::size_t>(
-        (credit_class(view, entry.ports[0]) * kCreditClasses +
-         credit_class(view, entry.ports[1])) *
-            kCreditClasses +
-        credit_class(view, entry.ports[2]))];
-  } else {
-    winner = 0;
-    int best_credits = view.free_credits[entry.ports[0]];
-    for (int i = 1; i < entry.count; ++i) {
-      const int credits = view.free_credits[entry.ports[i]];
-      if (credits > best_credits) {
-        best_credits = credits;
-        winner = i;
-      }
+  // order on ties.
+  int winner = 0;
+  int best_credits = view.free_credits[entry.ports[0]];
+  for (int i = 1; i < entry.count; ++i) {
+    const int credits = view.free_credits[entry.ports[i]];
+    if (credits > best_credits) {
+      best_credits = credits;
+      winner = i;
     }
   }
+  RouteDecision decision = entry.decision;
   decision.out_port = static_cast<Port>(entry.ports[winner]);
   return decision;
 }

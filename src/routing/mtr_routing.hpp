@@ -50,8 +50,8 @@ class MtrPlan {
 
   /// The full distance row of destination endpoint index `d` (one uint16
   /// per line node): the contiguous storage distance() reads, exposed so
-  /// the route-cache rebuild can scan it with the SIMD row kernel
-  /// (common/simd.hpp) instead of one indexed call per line node.
+  /// the route-cache rebuild scans a row instead of making one indexed
+  /// call per line node.
   const std::uint16_t* distance_row(std::size_t d) const {
     return dist_[d].data();
   }
@@ -88,14 +88,6 @@ class MtrPlan {
   /// combos_[src_endpoint_index * num_endpoints + dst_endpoint_index]
   std::vector<std::uint64_t> combos_;
 };
-
-/// Number of downstream-credit classes MTR's table-driven tie-break
-/// distinguishes: one per possible free-credit total of a candidate port
-/// (0..kMaxPortCredits). Because a mesh/vertical port can never hold more
-/// than kMaxPortCredits free credits, classifying by clamped credit value
-/// is lossless - the bucketed argmax picks exactly the candidate the
-/// uncached credit scan picked.
-inline constexpr int kCreditClasses = kMaxPortCredits + 1;
 
 class MtrRouting final : public RoutingAlgorithm {
  public:
@@ -143,16 +135,15 @@ class MtrRouting final : public RoutingAlgorithm {
   /// Memoized route decision for one (line node, destination endpoint):
   /// the minimal continuations in allowed-turn successor order plus, for
   /// credit-independent hops (ejection or a single continuation), the
-  /// fully resolved decision. Multi-candidate hops resolve through the
-  /// shared credit-class winner tables, visiting candidates in the order
-  /// the uncached successor scan did (bit-identical adaptive choices).
+  /// fully resolved decision. route() scans the candidates of a
+  /// multi-candidate hop in the order the uncached successor scan visited
+  /// them (bit-identical adaptive choices).
   struct RouteEntry {
     std::uint8_t count = 0;  ///< 0 = unreachable from this line node
     bool eject = false;      ///< a minimal continuation is dst's ejection
     std::array<std::uint8_t, 6> ports{};  ///< Port values, successor order
     /// Precomputed answer when `eject || count == 1`; for larger counts
-    /// only the VC mask is meaningful and out_port comes from the
-    /// credit-class tables.
+    /// only the VC mask is meaningful and route() picks out_port.
     RouteDecision decision;
   };
 

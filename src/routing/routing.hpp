@@ -62,15 +62,6 @@ struct RouterView {
   std::array<int, kNumPorts> free_credits{};
 };
 
-/// Upper bound on free_credits[p] for any mesh or vertical port: at most
-/// kMaxVcs VCs, each mirroring a downstream buffer of at most
-/// kMaxBufferDepth flits (asserted against the sim constants in
-/// sim/router.hpp). Only the local-ejection and RC pseudo-ports can
-/// exceed it, and no routing algorithm adaptively tie-breaks over those.
-/// MTR's credit-bucketed candidate tables rely on this bound to make the
-/// bucketed argmax lossless.
-inline constexpr int kMaxPortCredits = 32;
-
 class RoutingAlgorithm {
  public:
   virtual ~RoutingAlgorithm() = default;
@@ -106,10 +97,9 @@ class RoutingAlgorithm {
   /// Per-hop refinement of uses_router_view(): true when the decision for
   /// this specific (node, in_port, packet) hop depends on the credit view.
   /// Adaptive algorithms whose candidate tables often hold a single
-  /// continuation (MTR after the credit-bucket rewrite) override this so
-  /// the network skips the per-port credit aggregation on forced hops;
-  /// route() must then not read `view` for such hops. Only consulted when
-  /// uses_router_view() is true.
+  /// continuation (MTR) override this so the network skips the per-port
+  /// credit aggregation on forced hops; route() must then not read `view`
+  /// for such hops. Only consulted when uses_router_view() is true.
   virtual bool route_needs_view(NodeId node, Port in_port,
                                 const PacketRoute& route) const {
     (void)node;

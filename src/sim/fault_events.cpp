@@ -213,11 +213,11 @@ void FaultSurgeon::doom_scan(Network& net, const RoutingAlgorithm& alg,
     if (r.occupancy == 0 && r.owned == 0) {
       continue;  // no flits, no pinned lanes
     }
-    // Visit only lanes that can matter: occupied lanes (one SIMD pass
-    // over the ring fill counts) plus pinned-but-possibly-empty lanes
-    // (route_ready). Ascending bit order is the scalar (port, VC) nested
-    // loop order, and lanes above the configured VC count are never
-    // occupied or pinned, so the full 32-lane mask is safe.
+    // Visit only lanes that can matter: occupied lanes (from the ring fill
+    // counts) plus pinned-but-possibly-empty lanes (route_ready).
+    // Ascending bit order is (port, VC) order, and lanes above the
+    // configured VC count are never occupied or pinned, so the full
+    // 32-lane mask is safe.
     std::uint32_t pinned = 0;
     for (int lane = 0; lane < kNumLanes; ++lane) {
       if (r.in[static_cast<std::size_t>(lane)].route_ready) {
@@ -293,9 +293,8 @@ void FaultSurgeon::extract_doomed(Network& net, const PacketTable& packets,
     if (r.occupancy == 0) {
       continue;
     }
-    // SIMD occupancy test over the lane fill counts: only non-empty lanes
-    // are filtered, in ascending lane order - the (port, VC) order of the
-    // scalar nested loops it replaces.
+    // Only the non-empty lanes, from the ring fill counts, in ascending
+    // lane order - (port, VC) order.
     for (std::uint32_t visit = r.flits.occupied_mask(); visit != 0;
          visit &= visit - 1) {
       const int lane = std::countr_zero(visit);

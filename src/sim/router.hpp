@@ -25,7 +25,6 @@
 
 #include <array>
 
-#include "common/simd.hpp"
 #include "sim/packet.hpp"
 
 namespace deft {
@@ -34,8 +33,6 @@ namespace deft {
 inline constexpr int kMaxBufferDepth = 8;
 static_assert((kMaxBufferDepth & (kMaxBufferDepth - 1)) == 0,
               "FlitStore indexing relies on power-of-two masking");
-static_assert(kMaxVcs * kMaxBufferDepth <= kMaxPortCredits,
-              "routing's credit-class bound must cover a full output port");
 
 /// One buffer lane per (input port, VC) pair.
 inline constexpr int kNumLanes = kNumPorts * kMaxVcs;
@@ -60,15 +57,20 @@ class FlitStore {
   }
 
   /// Bitmask of non-empty lanes (bit = lane index), read straight off the
-  /// dense count_ array in one SIMD pass. Ground truth - unlike
-  /// RouterState::occupancy it cannot go stale - and iterating its set
-  /// bits ascending visits lanes in exactly the scalar (port, VC) nested
-  /// loop order. Lanes above the configured VC count are never pushed to,
-  /// so their bits are always clear.
+  /// dense count_ array. Ground truth - unlike RouterState::occupancy it
+  /// cannot go stale - and iterating its set bits ascending visits lanes
+  /// in (port, VC) order. Lanes above the configured VC count are never
+  /// pushed to, so their bits are always clear.
   std::uint32_t occupied_mask() const {
-    static_assert(kNumLanes == 32,
+    static_assert(kNumLanes <= 32,
                   "occupied_mask packs one bit per lane into a uint32");
-    return simd::nonzero_mask32(count_.data());
+    std::uint32_t mask = 0;
+    for (int lane = 0; lane < kNumLanes; ++lane) {
+      if (count_[static_cast<std::size_t>(lane)] != 0) {
+        mask |= std::uint32_t{1} << lane;
+      }
+    }
+    return mask;
   }
 
   void push(int lane, const Flit& flit) {

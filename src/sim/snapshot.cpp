@@ -286,10 +286,12 @@ class SnapshotAccess {
   static void walk(IO& io, Ref<IO, SimWorkspace> ws, Ref<IO, Simulator> sim,
                    Cycle now, ShardRun& slice) {
     walk(io, ws.packets_);
-    walk(io, ws.net_);
+    // Every later plane names packets by their index in this table.
+    const std::size_t packets = ws.packets_.size();
+    walk(io, ws.net_, packets);
     fixed(io, ws.nis_, 48, "snapshot NI count mismatch",
-          [&](auto& ni) { walk(io, ni, *sim.topo_, now); });
-    walk(io, ws.rc_units_);
+          [&](auto& ni) { walk(io, ni, *sim.topo_, now, packets); });
+    walk(io, ws.rc_units_, packets);
     walk(io, ws.surgeon_, sim);
     events(io, ws, now);
     seq(io, slice.net_latencies, 4, io);
@@ -377,7 +379,7 @@ class SnapshotAccess {
   }
 
   template <class IO>
-  static void walk(IO& io, Ref<IO, Network> net) {
+  static void walk(IO& io, Ref<IO, Network> net, std::size_t packets) {
     // A stepper pause is a cycle boundary: every staged outbox must have
     // been committed. An occupied outbox means the caller paused somewhere
     // illegal, and the snapshot would silently drop the staged moves. On
@@ -396,7 +398,7 @@ class SnapshotAccess {
     }
 
     fixed(io, net.routers_, 100, "snapshot router count mismatch",
-          [&](auto& rs) { walk(io, rs, net.num_vcs_); });
+          [&](auto& rs) { walk(io, rs, net.num_vcs_, packets); });
     fixed(io, net.channel_faulty_, 1, "snapshot channel count mismatch", io);
     fixed(io, net.vl_next_free_, 8, "snapshot VL channel count mismatch", io);
     // The int credit planes are stored as int64.
@@ -441,7 +443,8 @@ class SnapshotAccess {
   }
 
   template <class IO>
-  static void walk(IO& io, Ref<IO, RouterState> rs, int num_vcs) {
+  static void walk(IO& io, Ref<IO, RouterState> rs, int num_vcs,
+                   std::size_t packets) {
     if constexpr (!IO::kSaving) {
       rs.flits = FlitStore{};
     }
@@ -468,6 +471,11 @@ class SnapshotAccess {
     io(rs.va_ptr, rs.ovc_ptr, rs.sa_ptr, rs.occupancy, rs.owned);
     if constexpr (!IO::kSaving) {
       check_router(rs, num_vcs);
+      for (int lane = 0; lane < kNumLanes; ++lane) {
+        for (int off = 0; off < rs.flits.size(lane); ++off) {
+          packet<IO>(rs.flits.peek(lane, off).packet, packets, "router lane");
+        }
+      }
     }
   }
 
@@ -527,7 +535,7 @@ class SnapshotAccess {
   /// name: restore admits only endpoints, and nothing already overdue.
   template <class IO>
   static void walk(IO& io, Ref<IO, NetworkInterface> ni, const Topology& topo,
-                   Cycle now) {
+                   Cycle now, std::size_t packets) {
     NodeId node = ni.node_;
     io(node);
     if (node != ni.node_) {
@@ -547,9 +555,13 @@ class SnapshotAccess {
       ni.queue_head_ = 0;
       ni.replies_head_ = 0;
     }
-    seq(io, ni.queue_, 4, io, ni.queue_head_);
+    seq(io, ni.queue_, 4, [&](auto& id) {
+      io(id);
+      packet<IO>(id, packets, "NI queue");
+    }, ni.queue_head_);
     io(ni.active_, ni.active_size_, ni.active_initial_vcs_, ni.next_seq_,
        ni.vc_, ni.perm_requested_, ni.vc_rr_, ni.injection_at_);
+    packet<IO>(ni.active_, packets, "NI active packet", true);
     seq(io, ni.scratch_, 13, [&](auto& req) {
       io(req.dst, req.app, req.reply_at);
       endpoint<IO>(topo, req.dst, "pre-drawn request");
@@ -571,6 +583,20 @@ class SnapshotAccess {
     }
   }
 
+  /// Restore-side check that `id` indexes the packet table of `packets`
+  /// entries, as the next cycle does unchecked. -1 passes only where
+  /// `none_ok`: in a field where it means "no packet".
+  template <class IO>
+  static void packet(PacketId id, std::size_t packets, const char* what,
+                     bool none_ok = false) {
+    if (!IO::kSaving && !(none_ok && id == -1) &&
+        (id < 0 || static_cast<std::size_t>(id) >= packets)) {
+      throw SnapshotError(std::string("snapshot ") + what + " names packet " +
+                          std::to_string(id) + " of " +
+                          std::to_string(packets));
+    }
+  }
+
   /// Restore-side check that cycle `c` is not before the paused cycle.
   template <class IO>
   static void not_before(Cycle c, Cycle now, const char* what) {
@@ -582,15 +608,20 @@ class SnapshotAccess {
   }
 
   template <class IO>
-  static void walk(IO& io, Ref<IO, RcUnitManager> rc) {
+  static void walk(IO& io, Ref<IO, RcUnitManager> rc, std::size_t packets) {
     fixed(io, rc.units_, 25, "snapshot RC unit count mismatch",
           [&](auto& unit) {
             seq(io, unit.queue, 16, [&](auto& req) {
               io(req.requester, req.packet, req.arrives);
+              packet<IO>(req.packet, packets, "RC unit request");
             });
             io(unit.reserved, unit.granted_to, unit.granted_packet,
                unit.grant_arrives);
-            seq(io, unit.buffer, 7, [&](auto& f) { walk(io, f); });
+            packet<IO>(unit.granted_packet, packets, "RC unit grant", true);
+            seq(io, unit.buffer, 7, [&](auto& f) {
+              walk(io, f);
+              packet<IO>(f.packet, packets, "RC unit buffer");
+            });
             io(unit.absorbing_done, unit.reinject_vc);
           });
     io(rc.progress_, rc.flits_held_, rc.busy_units_);

@@ -115,8 +115,28 @@ inline std::size_t first_router_record(const std::vector<std::uint8_t>& image) {
   return at + 8;
 }
 
+/// Offset of the first flit buffered in any router lane; a flit opens
+/// with its 4-byte packet id.
+inline std::size_t first_router_flit(const std::vector<std::uint8_t>& image) {
+  std::size_t at = router_plane_offset(image);
+  const std::uint64_t routers = image_u64(image, at);
+  at += 8;
+  for (std::uint64_t r = 0; r < routers; ++r) {
+    for (std::size_t lane = 0; lane < kRouterInputVcs; ++lane, ++at) {
+      if (image.at(at) != 0) {
+        return at + 1;
+      }
+    }
+    at += kEmptyRouterBytes - kRouterInputVcs;
+  }
+  throw std::runtime_error("snapshot image buffers no flit in a router");
+}
+
 /// Offsets of the fields of one NI record the rejection tests edit.
 struct NiRecord {
+  /// The queued packet count, then 4-byte packet ids; the 4-byte active
+  /// packet id follows the last.
+  std::size_t queue;
   std::size_t injection_at;  ///< the own injection event's 8-byte cycle
   /// The pre-drawn request count, then 13-byte records: 4-byte
   /// destination, app byte, 8-byte reply cycle.
@@ -154,6 +174,7 @@ inline std::size_t walk_ni_plane(const std::vector<std::uint8_t>& image,
   at += 8;
   for (NiRecord& ni : nis) {
     at += 44;
+    ni.queue = at;
     at += 8 + 4 * image_u64(image, at);
     at += 15;
     ni.injection_at = at;
@@ -173,23 +194,53 @@ inline std::vector<NiRecord> ni_records(
   return nis;
 }
 
-/// Offset of the fault surgeon's section (its 8-byte event cursor, then
-/// the fault set's 32 words), after the RC units. Each unit holds its
-/// request queue (count, 16-byte requests), 17 bytes of grant state, its
-/// flit buffer (count, 7-byte flits) and 5 bytes of re-injection state;
-/// the manager's two 8-byte counters and 4-byte busy count follow.
-inline std::size_t surgeon_offset(const std::vector<std::uint8_t>& image) {
+/// Offsets of the parts of one RC unit record the rejection tests edit.
+struct RcUnitRecord {
+  /// The request count, then 16-byte requests: 4-byte requester, 4-byte
+  /// packet id, 8-byte arrival cycle.
+  std::size_t requests;
+  /// 17 bytes: the reserved flag, 4-byte grantee, 4-byte granted packet
+  /// id (-1 for none) and 8-byte grant arrival cycle.
+  std::size_t grant;
+  /// The buffered flit count, then 7-byte flits.
+  std::size_t buffer;
+};
+
+/// Walks an image's RC unit plane, which follows the NI plane, appending
+/// each unit's record to `units`, and returns the offset past the plane.
+/// Each unit holds its requests, grant and buffer and 5 bytes of
+/// re-injection state; the manager's two 8-byte counters and 4-byte busy
+/// count follow.
+inline std::size_t walk_rc_plane(const std::vector<std::uint8_t>& image,
+                                 std::vector<RcUnitRecord>& units) {
   std::vector<NiRecord> nis;
   std::size_t at = walk_ni_plane(image, nis);
-  const std::uint64_t units = image_u64(image, at);
+  units.resize(static_cast<std::size_t>(image_u64(image, at)));
   at += 8;
-  for (std::uint64_t u = 0; u < units; ++u) {
+  for (RcUnitRecord& unit : units) {
+    unit.requests = at;
     at += 8 + 16 * image_u64(image, at);
+    unit.grant = at;
     at += 17;
+    unit.buffer = at;
     at += 8 + kFlitBytes * image_u64(image, at);
     at += 5;
   }
   return at + 20;
+}
+
+inline std::vector<RcUnitRecord> rc_unit_records(
+    const std::vector<std::uint8_t>& image) {
+  std::vector<RcUnitRecord> units;
+  walk_rc_plane(image, units);
+  return units;
+}
+
+/// Offset of the fault surgeon's section (its 8-byte event cursor, then
+/// the fault set's 32 words), after the RC units.
+inline std::size_t surgeon_offset(const std::vector<std::uint8_t>& image) {
+  std::vector<RcUnitRecord> units;
+  return walk_rc_plane(image, units);
 }
 
 /// Offset of the pending NI events' count, followed by 16-byte (cycle,

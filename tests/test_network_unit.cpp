@@ -50,6 +50,47 @@ TEST(FlitStore, FifoOrderAndWraparoundPerLane) {
   }
 }
 
+TEST(FlitStore, OccupiedMaskTracksPushPop) {
+  FlitStore store;
+  EXPECT_EQ(store.occupied_mask(), 0u);
+  Flit flit{};
+  const int a = FlitStore::lane_of(2, 1);
+  const int b = FlitStore::lane_of(7, 3);
+  store.push(a, flit);
+  store.push(b, flit);
+  store.push(b, flit);
+  EXPECT_EQ(store.occupied_mask(),
+            (std::uint32_t{1} << a) | (std::uint32_t{1} << b));
+  store.pop(b);
+  EXPECT_EQ(store.occupied_mask(),
+            (std::uint32_t{1} << a) | (std::uint32_t{1} << b));
+  store.pop(b);
+  EXPECT_EQ(store.occupied_mask(), std::uint32_t{1} << a);
+  store.pop(a);
+  EXPECT_EQ(store.occupied_mask(), 0u);
+}
+
+TEST(FlitStore, OccupiedMaskReportsEachLaneOnItsOwn) {
+  for (int lane = 0; lane < kNumLanes; ++lane) {
+    SCOPED_TRACE(lane);
+    FlitStore store;
+    store.push(lane, Flit{});
+    EXPECT_EQ(store.occupied_mask(), std::uint32_t{1} << lane);
+    store.pop(lane);
+    EXPECT_EQ(store.occupied_mask(), 0u);
+  }
+}
+
+TEST(FlitStore, OccupiedMaskCoversAllLanes) {
+  FlitStore store;
+  for (int lane = 0; lane < kNumLanes; ++lane) {
+    store.push(lane, Flit{});
+  }
+  EXPECT_EQ(store.occupied_mask(), 0xffffffffu);
+  store.pop(kNumLanes - 1);
+  EXPECT_EQ(store.occupied_mask(), 0x7fffffffu);
+}
+
 class NetworkUnitTest : public ::testing::Test {
  protected:
   NetworkUnitTest()

@@ -4,6 +4,7 @@
 // BFS over the allowed-turn graph with faulty channels removed.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
 
 #include "core/runner.hpp"
@@ -195,6 +196,100 @@ TEST_P(MtrTest, AdaptiveChoicePrefersCredits) {
     EXPECT_EQ(a.out_port, Port::south);
     EXPECT_EQ(b.out_port, Port::east);
   }
+}
+
+TEST_P(MtrTest, AdaptiveChoiceIsTheFirstCandidateWithTheMostCredits) {
+  // Every hop with more than one minimal continuation, fault-free. The
+  // candidates are the line-graph successors one step closer to the
+  // destination, in successor order; route() must answer the first of
+  // them whose port has the most free credits, whatever the other ports
+  // hold.
+  const auto alg = ctx_.make_algorithm(Algorithm::mtr);
+  const auto plan = ctx_.mtr_plan();
+  const Topology& topo = ctx_.topo();
+  const LineGraph& graph = plan->line_graph();
+  Rng rng(17);
+  const auto random_view = [&](int max_credits) {
+    RouterView view;
+    for (int& credits : view.free_credits) {
+      credits = static_cast<int>(
+          rng.uniform(static_cast<std::uint64_t>(max_credits) + 1));
+    }
+    view.free_credits[port_index(Port::local)] = 4 * 0x3fff;
+    return view;
+  };
+  int hops = 0;
+  int three_way = 0;
+  std::vector<Port> ports;
+  for (NodeId dst : topo.endpoints()) {
+    PacketRoute rt;
+    rt.dst = dst;
+    // Channel nodes, then injection nodes (ejection nodes route nowhere).
+    for (int l = 0; l < topo.num_channels() + topo.num_nodes(); ++l) {
+      const std::uint16_t here = plan->distance(l, dst);
+      if (here == 0 || here == MtrPlan::kUnreachable) {
+        continue;
+      }
+      ports.clear();
+      bool eject = false;
+      for (int s : graph.successors(l)) {
+        if (plan->distance(s, dst) == here - 1) {
+          if (!graph.is_channel(s)) {
+            eject = true;
+            break;
+          }
+          ports.push_back(topo.channel(s).src_port);
+        }
+      }
+      if (eject || ports.size() < 2) {
+        continue;
+      }
+      ++hops;
+      three_way += ports.size() == 3 ? 1 : 0;
+      const bool injection = !graph.is_channel(l);
+      const NodeId node =
+          injection ? l - topo.num_channels() : topo.channel(l).dst;
+      const Port in_port =
+          injection ? Port::local : topo.channel(l).dst_port;
+      SCOPED_TRACE(::testing::Message()
+                   << "line node " << l << " -> " << dst);
+      ASSERT_TRUE(alg->route_needs_view(node, in_port, rt));
+      const auto choice = [&](const RouterView& view) {
+        return alg->route(node, in_port, 0, rt, view).out_port;
+      };
+      // All candidates equal: the first wins.
+      RouterView view = random_view(32);
+      const int level = view.free_credits[port_index(ports.front())];
+      for (Port p : ports) {
+        view.free_credits[port_index(p)] = level;
+      }
+      EXPECT_EQ(choice(view), ports.front());
+      // The last candidate leads by one credit: it wins.
+      view = random_view(31);
+      int best = 0;
+      for (Port p : ports) {
+        best = std::max(best, view.free_credits[port_index(p)]);
+      }
+      view.free_credits[port_index(ports.back())] = best + 1;
+      EXPECT_EQ(choice(view), ports.back());
+      // Random views, narrow enough for frequent ties.
+      for (int round = 0; round < 8; ++round) {
+        view = random_view(round % 2 == 0 ? 3 : 32);
+        Port expected = ports.front();
+        for (Port p : ports) {
+          if (view.free_credits[port_index(p)] >
+              view.free_credits[port_index(expected)]) {
+            expected = p;
+          }
+        }
+        EXPECT_EQ(choice(view), expected);
+      }
+    }
+  }
+  // About 5% of the non-ejecting route-cache entries; the three-way hops
+  // are all on the 6-chiplet system.
+  EXPECT_EQ(hops, GetParam() == 4 ? 1151 : 2240);
+  EXPECT_EQ(three_way, GetParam() == 4 ? 0 : 7);
 }
 
 TEST_P(MtrTest, ComboReachabilityImpliesBfsReachability) {

@@ -786,6 +786,89 @@ TEST(Snapshot, AllocatedOutputVcOutOfRangeIsRejected) {
             std::string::npos);
 }
 
+// The next cycle indexes the packet table by the packet id of every
+// buffered flit (router lanes, RC unit buffers), queued and active NI
+// packet, and RC request and grant. Before these checks an image naming
+// packet 0x7fffffff restored, and the first advance() read far past the
+// table. Only the fields where -1 means "no packet" (an NI's active packet,
+// an RC unit's grant) admit it.
+
+/// `image` with the 4-byte field at `at` set to `v`, resealed.
+std::vector<std::uint8_t> with_u32(std::vector<std::uint8_t> image,
+                                   std::size_t at, std::uint32_t v) {
+  set_image_u32(image, at, v);
+  reseal(image);
+  return image;
+}
+
+TEST(Snapshot, RouterLaneNamingAMissingPacketIsRejected) {
+  const std::vector<std::uint8_t> image = snapshot_at(kScenarios[0], 700);
+  const std::size_t flit = first_router_flit(image);
+  EXPECT_NE(restore_error(kScenarios[0], with_u32(image, flit, 0x7fffffff))
+                .find("router lane names packet 2147483647 of "),
+            std::string::npos);
+  EXPECT_NE(restore_error(kScenarios[0], with_u32(image, flit, 0xffffffff))
+                .find("router lane names packet -1 of "),
+            std::string::npos);
+}
+
+TEST(Snapshot, NiQueueNamingAMissingPacketIsRejected) {
+  const std::vector<std::uint8_t> image = snapshot_at(kScenarios[0], 700);
+  const std::size_t queued = first_ni_with(image, &NiRecord::queue) + 8;
+  EXPECT_NE(restore_error(kScenarios[0], with_u32(image, queued, 0x7fffffff))
+                .find("NI queue names packet 2147483647 of "),
+            std::string::npos);
+  // The active packet follows the queue; -1 is an idle NI.
+  std::size_t active = 0;
+  for (const NiRecord& ni : ni_records(image)) {
+    const std::size_t at = ni.queue + 8 + 4 * image_u64(image, ni.queue);
+    if (static_cast<std::uint32_t>(image_u64(image, at)) != 0xffffffffu) {
+      active = at;
+      break;
+    }
+  }
+  ASSERT_NE(active, 0u) << "no NI holds an active packet";
+  EXPECT_NE(restore_error(kScenarios[0], with_u32(image, active, 0x7fffffff))
+                .find("NI active packet names packet 2147483647 of "),
+            std::string::npos);
+  EXPECT_NE(restore_error(kScenarios[0], with_u32(image, active, 0xfffffffe))
+                .find("NI active packet names packet -2 of "),
+            std::string::npos);
+}
+
+TEST(Snapshot, RcUnitNamingAMissingPacketIsRejected) {
+  // The RC configuration's units hold requests, a grant and buffered
+  // flits at this cycle.
+  const Scenario& rc = kScenarios[4];
+  const std::vector<std::uint8_t> image = snapshot_at(rc, 700);
+  std::size_t request = 0;
+  std::size_t grant = 0;
+  std::size_t buffered = 0;
+  for (const RcUnitRecord& unit : rc_unit_records(image)) {
+    if (request == 0 && image_u64(image, unit.requests) > 0) {
+      request = unit.requests + 8 + 4;
+    }
+    if (grant == 0 && image.at(unit.grant) != 0) {
+      grant = unit.grant + 5;
+    }
+    if (buffered == 0 && image_u64(image, unit.buffer) > 0) {
+      buffered = unit.buffer + 8;
+    }
+  }
+  ASSERT_NE(request, 0u);
+  ASSERT_NE(grant, 0u);
+  ASSERT_NE(buffered, 0u);
+  EXPECT_NE(restore_error(rc, with_u32(image, request, 0x7fffffff))
+                .find("RC unit request names packet 2147483647 of "),
+            std::string::npos);
+  EXPECT_NE(restore_error(rc, with_u32(image, grant, 0x7fffffff))
+                .find("RC unit grant names packet 2147483647 of "),
+            std::string::npos);
+  EXPECT_NE(restore_error(rc, with_u32(image, buffered, 0x7fffffff))
+                .find("RC unit buffer names packet 2147483647 of "),
+            std::string::npos);
+}
+
 TEST(Snapshot, ApplicationImageIsIndependentOfTheWorkspaceHistory) {
   // A workspace that last ran a saturated run (busy NIs and full reply
   // and event buffers at its end) must write the same image as a fresh

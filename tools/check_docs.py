@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Validate intra-repo markdown links, docs reachability and code symbols.
+"""Validate intra-repo markdown links, docs reachability, code symbols and
+documented paths.
 
-Three checks. The first two run over every *.md file in the repository:
+Four checks. The first two run over every *.md file in the repository:
 
 1. **Link resolution** — every relative (intra-repo) markdown link must
    point at a file or directory that exists. External links (http/https/
@@ -19,11 +20,18 @@ Three checks. The first two run over every *.md file in the repository:
    tracked C++/Python sources (`git ls-files`). A struct or member that
    was renamed or deleted leaves its reference unresolved.
 
+4. **Repository paths** - in README.md and docs/*.md, every backticked
+   path under src/, tests/, tools/, bench/, examples/, docs/ or
+   perfbench/ (such as `src/sim/router.hpp`, also inside a longer span
+   like `python3 perfbench/run.py`) must exist. A deleted or moved file
+   cannot stay documented.
+
 Exit codes:
-  0  all links resolve, every docs/*.md page is reachable and every
-     Type::member reference resolves
-  1  at least one broken link, unreachable docs page or unresolved
-     reference (each problem is printed with its file and line number)
+  0  all links resolve, every docs/*.md page is reachable, and every
+     Type::member reference and repository path resolves
+  1  at least one broken link, unreachable docs page, unresolved
+     reference or missing path (each problem is printed with its file
+     and line number)
 
 No dependencies beyond the Python standard library and git; CI runs it
 without building anything (the "doc-check" job in
@@ -53,6 +61,10 @@ INLINE_CODE_RE = re.compile(r"`[^`\n]*`")
 
 #: A qualified C++ name inside inline code: Type::member.
 SYMBOL_RE = re.compile(r"\b([A-Z]\w*)::([A-Za-z_]\w*)")
+
+#: A repository path inside inline code, under one of the source trees.
+PATH_RE = re.compile(r"(?<![\w./-])(?:src|tests|tools|bench|examples|docs|"
+                     r"perfbench)/[\w./-]*")
 
 #: Sources whose identifiers the documented symbols must name.
 SOURCE_PATTERNS = ("*.cpp", "*.hpp", "*.h", "*.py")
@@ -160,6 +172,7 @@ def main():
 
     identifiers = source_identifiers(root)
     symbols = 0
+    paths = 0
     for path in md_files:
         if path != "README.md" and not path.startswith("docs" + os.sep):
             continue
@@ -175,6 +188,11 @@ def main():
                         f"{path}:{line_no}: `{match.group(0)}` names "
                         f"{', '.join(missing)}, found in no tracked "
                         f"C++/Python source")
+            for match in PATH_RE.finditer(code):
+                paths += 1
+                if not os.path.exists(os.path.join(root, match.group(0))):
+                    problems.append(f"{path}:{line_no}: `{match.group(0)}` "
+                                    f"does not exist in the repository")
 
     if problems:
         print(f"{len(problems)} documentation problem(s):", file=sys.stderr)
@@ -184,7 +202,8 @@ def main():
     docs_pages = sum(1 for p in md_files if p.startswith("docs" + os.sep))
     print(f"doc-check: {len(md_files)} markdown files, all intra-repo "
           f"links resolve, {docs_pages} docs pages reachable from "
-          f"README.md, {symbols} Type::member references resolve")
+          f"README.md, {symbols} Type::member references and {paths} "
+          f"repository paths resolve")
     return 0
 
 
